@@ -15,12 +15,9 @@ from .repcat import (
     Quiver,
     Rep,
     RepClass,
-    aut_count,
-    enumerate_classes,
     euler_form,
     ext_dim,
     hom_dim,
-    is_indecomposable,
     symmetric_euler_form,
 )
 from .hallhopf import AlgElt, BasisSym, DoubleHall, TensorElt, TruncationError

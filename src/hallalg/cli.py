@@ -21,6 +21,7 @@ from .repcat import (
     ClassTable,
     DEFAULT_MAX_CLASSES,
     DEFAULT_MAX_STATES,
+    MAX_FIELD_SIZE,
     LimitExceeded,
     Quiver,
     dims_below,
@@ -72,7 +73,7 @@ class Config:
         )
 
 
-def _parse_value(raw: str, line: int):
+def _parse_value(raw: str):
     try:
         return json.loads(raw)
     except json.JSONDecodeError:
@@ -100,7 +101,7 @@ def parse_config(text: str) -> Config:
             raise ConfigError(f"key {key!r} outside any section", lineno)
         if key not in _KEYS[section]:
             raise ConfigError(f"unknown key {key!r} in section [{section}]", lineno)
-        values[(section, key)] = (_parse_value(raw_val.strip(), lineno), lineno)
+        values[(section, key)] = (_parse_value(raw_val.strip()), lineno)
 
     def take(section, key, default=None, required=False):
         if (section, key) in values:
@@ -132,6 +133,8 @@ def parse_config(text: str) -> Config:
     q, ln = take("field", "q", required=True)
     if not isinstance(q, int) or not is_prime(q):
         raise ConfigError("q must be prime", ln)
+    if q > MAX_FIELD_SIZE:
+        raise ConfigError(f"q must be at most {MAX_FIELD_SIZE}", ln)
     bound, ln = take("limits", "bound", default=[2] * vertices)
     if (
         not isinstance(bound, list)
@@ -141,7 +144,7 @@ def parse_config(text: str) -> Config:
         raise ConfigError(
             f"bound must be a list of {vertices} nonnegative integers", ln
         )
-    height, ln = take("limits", "height", default=sum(bound))
+    height, ln = take("limits", "height", default=min(bound))
     if not isinstance(height, int) or height < 0:
         raise ConfigError("height must be a nonnegative integer", ln)
     max_states, ln = take("limits", "max_states", default=DEFAULT_MAX_STATES)
@@ -188,16 +191,20 @@ def config_digest(c: Config) -> str:
     return hashlib.sha256(config_to_text(c).encode()).hexdigest()
 
 
-def emit_report(report, fmt: str, digest: str) -> str:
+def _report_dict(report, digest: str) -> dict:
+    """The pinned JSON report schema of one suite."""
     data = report.to_dict()
-    data = {
+    return {
         "suite": data["suite"],
         "config_digest": digest,
         "checks": data["checks"],
         "overall": data["overall"],
     }
+
+
+def emit_report(report, fmt: str, digest: str) -> str:
     if fmt == "json":
-        return json.dumps(data, indent=2, sort_keys=False)
+        return json.dumps(_report_dict(report, digest), indent=2)
     p, f, s = report.counts()
     lines = [f"suite {report.suite}: {report.overall} ({p} passed, {f} failed, {s} skipped)"]
     for c in report.checks:
@@ -344,28 +351,8 @@ def _cmd_verify(config: Config, suite: str) -> tuple[int, str]:
     table = config.table()
     reports = [run_suite(n, table, height=config.height) for n in names]
     if config.output_format == "json":
-        if len(reports) == 1:
-            data = reports[0].to_dict()
-            data = {
-                "suite": data["suite"],
-                "config_digest": digest,
-                "checks": data["checks"],
-                "overall": data["overall"],
-            }
-            out = json.dumps(data, indent=2)
-        else:
-            out = json.dumps(
-                [
-                    {
-                        "suite": r.to_dict()["suite"],
-                        "config_digest": digest,
-                        "checks": r.to_dict()["checks"],
-                        "overall": r.to_dict()["overall"],
-                    }
-                    for r in reports
-                ],
-                indent=2,
-            )
+        data = [_report_dict(r, digest) for r in reports]
+        out = json.dumps(data[0] if len(data) == 1 else data, indent=2)
     else:
         out = "\n".join(emit_report(r, "text", digest) for r in reports)
     code = 0 if all(r.overall == "pass" for r in reports) else 1
@@ -419,10 +406,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = parse_config(fh.read())
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.format:

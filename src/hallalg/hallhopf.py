@@ -157,10 +157,8 @@ class DoubleHall:
         self.zero_cid = table.zero_id()
         self.zero_dim = table.quiver.zero_dim()
         self._u_prod: dict = {}
-        self._comult_plus: dict = {}
-        self._comult_minus: dict = {}
-        self._anti_plus: dict = {}
-        self._anti_minus: dict = {}
+        self._comult_consts: dict = {}
+        self._anti_consts: dict = {}
         self._anti_sym: dict = {}
         self._omega_sym: dict = {}
         self._straight: dict = {}
@@ -182,17 +180,33 @@ class DoubleHall:
     def sym_elt(self, sym: BasisSym) -> AlgElt:
         return AlgElt({sym: self.field.one})
 
+    def _monomial(self, cid: ClassId, mu: DimVec, plus: bool) -> BasisSym:
+        """K_mu u_cid^+ or u_cid^- K_mu: the one-sided monomial of a sign."""
+        if plus:
+            return BasisSym(self.zero_cid, mu, cid)
+        return BasisSym(cid, mu, self.zero_cid)
+
     # ----- purity -----------------------------------------------------------
 
     def is_pure_plus(self, x: AlgElt) -> bool:
-        return all(s.minus == self.zero_cid for s in x.terms)
+        return self._is_pure(x, True)
 
     def is_pure_minus(self, x: AlgElt) -> bool:
-        return all(s.plus == self.zero_cid for s in x.terms)
+        return self._is_pure(x, False)
+
+    def _is_pure(self, x: AlgElt, plus: bool) -> bool:
+        other = 0 if plus else 2  # the BasisSym field of the opposite sign
+        return all(s[other] == self.zero_cid for s in x.terms)
 
     def _require(self, cond: bool, msg: str):
         if not cond:
             raise ValueError(msg)
+
+    def _require_pure(self, op: str, plus: bool, *xs: AlgElt):
+        if not all(self._is_pure(x, plus) for x in xs):
+            sign = "plus" if plus else "minus"
+            what = f"pure {sign} inputs" if len(xs) > 1 else f"a pure {sign} input"
+            raise ValueError(f"{op}_{sign} needs {what}")
 
     # ----- structure constants -------------------------------------------
 
@@ -219,37 +233,27 @@ class DoubleHall:
             self._u_prod[key] = tuple(out)
         return self._u_prod[key]
 
-    def _comult_plus_terms(self, g: ClassId):
-        """Splitting constants of u_g^+: [(quot, sub, Scalar)] with the
-        K-reordering twist folded in."""
-        if g not in self._comult_plus:
+    def _comult_terms(self, g: ClassId, plus: bool):
+        """Splitting constants of u_g: [(quot, sub, Scalar)].
+
+        The plus sign folds in the K-reordering twist v^-(sub, quot); the
+        minus sign places its slots as u_sub^- (x) u_quot^- K_{-dim sub}.
+        """
+        key = (g, plus)
+        if key not in self._comult_consts:
             t = self.table
             out = []
             for nu in dims_below(g[0]):
                 dist = t.hall_distribution(g, nu)
                 for (quot, sub), n in sorted(dist.items()):
-                    c = self.field.v_pow(
-                        t.euler(quot[0], sub[0]) - t.sym(sub[0], quot[0])
-                    )
+                    e = t.euler(quot[0], sub[0])
+                    if plus:
+                        e -= t.sym(sub[0], quot[0])
+                    c = self.field.v_pow(e)
                     c = c * Fraction(t.aut(quot) * t.aut(sub), t.aut(g)) * n
                     out.append((quot, sub, c))
-            self._comult_plus[g] = tuple(out)
-        return self._comult_plus[g]
-
-    def _comult_minus_terms(self, g: ClassId):
-        """Splitting constants of u_g^-: [(sub, quot, Scalar)] for the slots
-        u_sub^- (x) u_quot^- K_{-dim sub}."""
-        if g not in self._comult_minus:
-            t = self.table
-            out = []
-            for nu in dims_below(g[0]):
-                dist = t.hall_distribution(g, nu)
-                for (quot, sub), n in sorted(dist.items()):
-                    c = self.field.v_pow(t.euler(quot[0], sub[0]))
-                    c = c * Fraction(t.aut(quot) * t.aut(sub), t.aut(g)) * n
-                    out.append((sub, quot, c))
-            self._comult_minus[g] = tuple(out)
-        return self._comult_minus[g]
+            self._comult_consts[key] = tuple(out)
+        return self._comult_consts[key]
 
     def _class_sequences(self, mu: DimVec):
         """All tuples of nonzero classes whose dimension vectors sum to mu."""
@@ -266,13 +270,18 @@ class DoubleHall:
                     out.append((c.cid,) + tail)
         return out
 
-    def _antipode_terms_plus(self, g: ClassId):
-        """Coefficients c_pi with S(u_g^+) = sum_pi c_pi K_{-g} u_pi^+."""
-        if g not in self._anti_plus:
+    def _antipode_terms(self, g: ClassId, plus: bool):
+        """Coefficients c_pi with S(u_g^+) = sum_pi c_pi K_{-g} u_pi^+, or
+        S(u_g^-) = sum_pi c_pi u_pi^- K_g.
+
+        The minus sign drops the v-twist and reverses the filtration order.
+        """
+        key = (g, plus)
+        if key not in self._anti_consts:
             t = self.table
             if sum(g[0]) == 0:
-                self._anti_plus[g] = ((self.zero_cid, self.field.one),)
-                return self._anti_plus[g]
+                self._anti_consts[key] = ((self.zero_cid, self.field.one),)
+                return self._anti_consts[key]
             acc: dict[ClassId, Scalar] = {}
             targets = t.classes(g[0])
             for seq in self._class_sequences(g[0]):
@@ -281,110 +290,73 @@ class DoubleHall:
                     continue
                 m = len(seq)
                 tw = 0
-                for i in range(m):
-                    for j in range(i + 1, m):
-                        tw += t.euler(seq[i][0], seq[j][0])
-                c = self.field.v_pow(2 * tw)
+                if plus:
+                    for i in range(m):
+                        for j in range(i + 1, m):
+                            tw += t.euler(seq[i][0], seq[j][0])
                 afac = 1
                 for s in seq:
                     afac *= t.aut(s)
-                c = c * Fraction(afac, t.aut(g)) * n_g
+                c = self.field.v_pow(2 * tw) * Fraction(afac, t.aut(g)) * n_g
                 if m % 2:
                     c = -c
+                order = seq if plus else seq[::-1]
                 for pi in targets:
-                    n_pi = t.hall_multi(pi.cid, seq)
+                    n_pi = t.hall_multi(pi.cid, order)
                     if n_pi:
                         prev = acc.get(pi.cid)
                         val = c * n_pi
                         acc[pi.cid] = val if prev is None else prev + val
-            self._anti_plus[g] = tuple(
+            self._anti_consts[key] = tuple(
                 (k, v) for k, v in sorted(acc.items()) if v
             )
-        return self._anti_plus[g]
-
-    def _antipode_terms_minus(self, g: ClassId):
-        """Coefficients c_pi with S(u_g^-) = sum_pi c_pi u_pi^- K_g."""
-        if g not in self._anti_minus:
-            t = self.table
-            if sum(g[0]) == 0:
-                self._anti_minus[g] = ((self.zero_cid, self.field.one),)
-                return self._anti_minus[g]
-            acc: dict[ClassId, Scalar] = {}
-            targets = t.classes(g[0])
-            for seq in self._class_sequences(g[0]):
-                n_g = t.hall_multi(g, seq)
-                if not n_g:
-                    continue
-                afac = 1
-                for s in seq:
-                    afac *= t.aut(s)
-                c = self.field.scalar(Fraction(afac, t.aut(g))) * n_g
-                if len(seq) % 2:
-                    c = -c
-                rev = tuple(reversed(seq))
-                for pi in targets:
-                    n_pi = t.hall_multi(pi.cid, rev)
-                    if n_pi:
-                        prev = acc.get(pi.cid)
-                        val = c * n_pi
-                        acc[pi.cid] = val if prev is None else prev + val
-            self._anti_minus[g] = tuple(
-                (k, v) for k, v in sorted(acc.items()) if v
-            )
-        return self._anti_minus[g]
+        return self._anti_consts[key]
 
     # ----- one-sided Hopf operations ---------------------------------------
 
     def mult_plus(self, x: AlgElt, y: AlgElt) -> AlgElt:
         """Product in the positive algebra, K_mu u_alpha^+ monomials allowed."""
-        self._require(self.is_pure_plus(x) and self.is_pure_plus(y), "mult_plus needs pure plus inputs")
-        t = self.table
-        out: dict[BasisSym, Scalar] = {}
-        for sx, cx in x.terms.items():
-            for sy, cy in y.terms.items():
-                c = cx * cy * self.field.v_pow(-t.sym(sy.torus, sx.plus[0]))
-                mu = dim_add(sx.torus, sy.torus)
-                for g, cg in self._u_product_terms(sx.plus, sy.plus):
-                    _acc(out, BasisSym(self.zero_cid, mu, g), c * cg)
-        return AlgElt(out)
+        return self._mult_sided(x, y, True)
 
     def mult_minus(self, x: AlgElt, y: AlgElt) -> AlgElt:
         """Product in the negative algebra, u_alpha^- K_mu monomials allowed."""
-        self._require(self.is_pure_minus(x) and self.is_pure_minus(y), "mult_minus needs pure minus inputs")
+        return self._mult_sided(x, y, False)
+
+    def _mult_sided(self, x: AlgElt, y: AlgElt, plus: bool) -> AlgElt:
+        self._require_pure("mult", plus, x, y)
         t = self.table
         out: dict[BasisSym, Scalar] = {}
         for sx, cx in x.terms.items():
             for sy, cy in y.terms.items():
-                c = cx * cy * self.field.v_pow(-t.sym(sx.torus, sy.minus[0]))
+                a, b = _slot(sx, plus), _slot(sy, plus)
+                # Move the torus of one factor past the other factor's u.
+                e = t.sym(sy.torus, a[0]) if plus else t.sym(sx.torus, b[0])
+                c = cx * cy * self.field.v_pow(-e)
                 mu = dim_add(sx.torus, sy.torus)
-                for g, cg in self._u_product_terms(sx.minus, sy.minus):
-                    _acc(out, BasisSym(g, mu, self.zero_cid), c * cg)
+                for g, cg in self._u_product_terms(a, b):
+                    _acc(out, self._monomial(g, mu, plus), c * cg)
         return AlgElt(out)
 
     def comult_plus(self, x: AlgElt) -> TensorElt:
         """Comultiplication of the positive algebra."""
-        self._require(self.is_pure_plus(x), "comult_plus needs a pure plus input")
-        out: dict[tuple, Scalar] = {}
-        for s, c in x.terms.items():
-            for quot, sub, cc in self._comult_plus_terms(s.plus):
-                k = (
-                    BasisSym(self.zero_cid, dim_add(s.torus, sub[0]), quot),
-                    BasisSym(self.zero_cid, s.torus, sub),
-                )
-                _acc(out, k, c * cc)
-        return TensorElt(out)
+        return self._comult(x, True)
 
     def comult_minus(self, x: AlgElt) -> TensorElt:
         """Comultiplication of the negative algebra."""
-        self._require(self.is_pure_minus(x), "comult_minus needs a pure minus input")
+        return self._comult(x, False)
+
+    def _comult(self, x: AlgElt, plus: bool) -> TensorElt:
+        self._require_pure("comult", plus, x)
         out: dict[tuple, Scalar] = {}
+        shift = dim_add if plus else dim_sub
         for s, c in x.terms.items():
-            for sub, quot, cc in self._comult_minus_terms(s.minus):
+            for quot, sub, cc in self._comult_terms(_slot(s, plus), plus):
                 k = (
-                    BasisSym(sub, s.torus, self.zero_cid),
-                    BasisSym(quot, dim_sub(s.torus, sub[0]), self.zero_cid),
+                    self._monomial(quot, shift(s.torus, sub[0]), plus),
+                    self._monomial(sub, s.torus, plus),
                 )
-                _acc(out, k, c * cc)
+                # The plus sign puts the quotient first, the minus sign the sub.
+                _acc(out, k if plus else k[::-1], c * cc)
         return TensorElt(out)
 
     def _antipode_sym(self, s: BasisSym, plus: bool) -> AlgElt:
@@ -393,40 +365,30 @@ class DoubleHall:
         if out is None:
             t = self.table
             acc: dict[BasisSym, Scalar] = {}
-            if plus:
-                gdim = s.plus[0]
-                for pi, cc in self._antipode_terms_plus(s.plus):
-                    tw = self.field.v_pow(t.sym(s.torus, pi[0]))
-                    sym = BasisSym(
-                        self.zero_cid,
-                        dim_sub(tuple(-d for d in gdim), s.torus),
-                        pi,
-                    )
-                    _acc(acc, sym, cc * tw)
-            else:
-                gdim = s.minus[0]
-                for pi, cc in self._antipode_terms_minus(s.minus):
-                    tw = self.field.v_pow(t.sym(s.torus, pi[0]))
-                    sym = BasisSym(pi, dim_sub(gdim, s.torus), self.zero_cid)
-                    _acc(acc, sym, cc * tw)
+            g = _slot(s, plus)
+            # K_{-g} on the plus side, K_g on the minus side, times K_{-torus}.
+            gdim = tuple(-d for d in g[0]) if plus else g[0]
+            mu = dim_sub(gdim, s.torus)
+            for pi, cc in self._antipode_terms(g, plus):
+                tw = self.field.v_pow(t.sym(s.torus, pi[0]))
+                _acc(acc, self._monomial(pi, mu, plus), cc * tw)
             out = AlgElt(acc)
             self._anti_sym[key] = out
         return out
 
     def antipode_plus(self, x: AlgElt) -> AlgElt:
         """Antipode of the positive algebra (alternating filtration sum)."""
-        self._require(self.is_pure_plus(x), "antipode_plus needs a pure plus input")
-        out = AlgElt()
-        for s, c in x.terms.items():
-            out = out + self._antipode_sym(s, True).scaled(c)
-        return out
+        return self._antipode(x, True)
 
     def antipode_minus(self, x: AlgElt) -> AlgElt:
         """Antipode of the negative algebra."""
-        self._require(self.is_pure_minus(x), "antipode_minus needs a pure minus input")
+        return self._antipode(x, False)
+
+    def _antipode(self, x: AlgElt, plus: bool) -> AlgElt:
+        self._require_pure("antipode", plus, x)
         out = AlgElt()
         for s, c in x.terms.items():
-            out = out + self._antipode_sym(s, False).scaled(c)
+            out = out + self._antipode_sym(s, plus).scaled(c)
         return out
 
     def counit(self, x: AlgElt) -> Scalar:
@@ -460,22 +422,13 @@ class DoubleHall:
     def _omega_of_sym(self, s: BasisSym) -> AlgElt:
         out = self._omega_sym.get(s)
         if out is None:
-            t = self.table
-            if s.plus == self.zero_cid:
-                sym = BasisSym(self.zero_cid, tuple(-m for m in s.torus), s.minus)
-                out = AlgElt({sym: self.field.v_pow(t.sym(s.torus, s.minus[0]))})
-            elif s.minus == self.zero_cid:
-                sym = BasisSym(s.plus, tuple(-m for m in s.torus), self.zero_cid)
-                out = AlgElt({sym: self.field.v_pow(t.sym(s.torus, s.plus[0]))})
-            else:
-                left = AlgElt(
-                    {
-                        BasisSym(
-                            self.zero_cid, tuple(-m for m in s.torus), s.minus
-                        ): self.field.v_pow(t.sym(s.torus, s.minus[0]))
-                    }
-                )
+            if s.plus != self.zero_cid and s.minus != self.zero_cid:
+                left = self._omega_of_sym(BasisSym(s.minus, s.torus, self.zero_cid))
                 out = self.mult(left, self.u_minus(s.plus))
+            else:
+                e = self.table.sym(s.torus, dim_add(s.plus[0], s.minus[0]))
+                sym = BasisSym(s.plus, tuple(-m for m in s.torus), s.minus)
+                out = AlgElt({sym: self.field.v_pow(e)})
             self._omega_sym[s] = out
         return out
 
@@ -493,14 +446,15 @@ class DoubleHall:
 
     # ----- the double -------------------------------------------------------
 
-    def _comult2(self, x: AlgElt, plus: bool) -> dict:
-        """(Delta (x) id) o Delta of a one-sided element, as a 3-tensor dict."""
+    def _comult2(self, x: AlgElt, plus: bool, left: bool = True) -> dict:
+        """(Delta (x) id) o Delta of a one-sided element, or (id (x) Delta) o
+        Delta with left=False, as a 3-tensor dict."""
         comult = self.comult_plus if plus else self.comult_minus
         out: dict[tuple, Scalar] = {}
         for (s1, s2), c in comult(x).terms.items():
-            inner = comult(self.sym_elt(s1))
+            inner = comult(self.sym_elt(s1 if left else s2))
             for (a, b), cc in inner.terms.items():
-                _acc(out, (a, b, s2), c * cc)
+                _acc(out, (a, b, s2) if left else (s1, a, b), c * cc)
         return out
 
     def _straighten(self, a: ClassId, d: ClassId):
@@ -535,16 +489,12 @@ class DoubleHall:
         out: dict[BasisSym, Scalar] = {}
         for sx, cx in x.terms.items():
             for sy, cy in y.terms.items():
-                if not dim_leq(dim_add(sx.minus[0], sy.minus[0]), t.bound):
-                    raise TruncationError(
-                        f"product needs negative classes of dimension "
-                        f"{dim_add(sx.minus[0], sy.minus[0])} beyond bound {t.bound}"
-                    )
-                if not dim_leq(dim_add(sx.plus[0], sy.plus[0]), t.bound):
-                    raise TruncationError(
-                        f"product needs positive classes of dimension "
-                        f"{dim_add(sx.plus[0], sy.plus[0])} beyond bound {t.bound}"
-                    )
+                for side, a, b in (("negative", sx.minus, sy.minus), ("positive", sx.plus, sy.plus)):
+                    d = dim_add(a[0], b[0])
+                    if not dim_leq(d, t.bound):
+                        raise TruncationError(
+                            f"product needs {side} classes of dimension {d} beyond bound {t.bound}"
+                        )
                 if sx.plus == self.zero_cid:
                     middle = ((BasisSym(sy.minus, self.zero_dim, self.zero_cid), self.field.one),)
                 elif sy.minus == self.zero_cid:
@@ -570,16 +520,8 @@ class DoubleHall:
         out: dict[tuple, Scalar] = {}
         for kx, cx in tx.terms.items():
             for ky, cy in ty.terms.items():
-                prods = [
-                    mult(self.sym_elt(a), self.sym_elt(b)).terms
-                    for a, b in zip(kx, ky)
-                ]
-                c0 = cx * cy
-                for combo in itertools.product(*(p.items() for p in prods)):
-                    c = c0
-                    for _, cv in combo:
-                        c = c * cv
-                    _acc(out, tuple(s for s, _ in combo), c)
+                images = [mult(self.sym_elt(a), self.sym_elt(b)) for a, b in zip(kx, ky)]
+                _acc_tensor(out, cx * cy, images)
         return TensorElt(out)
 
     def tensor_swap(self, tx: TensorElt) -> TensorElt:
@@ -589,13 +531,22 @@ class DoubleHall:
         """Apply per-slot linear maps (AlgElt -> AlgElt) to a tensor."""
         out: dict[tuple, Scalar] = {}
         for key, c in tx.terms.items():
-            images = [funcs[i](self.sym_elt(s)).terms for i, s in enumerate(key)]
-            for combo in itertools.product(*(im.items() for im in images)):
-                cc = c
-                for _, cv in combo:
-                    cc = cc * cv
-                _acc(out, tuple(s for s, _ in combo), cc)
+            _acc_tensor(out, c, [funcs[i](self.sym_elt(s)) for i, s in enumerate(key)])
         return TensorElt(out)
+
+
+def _slot(s: BasisSym, plus: bool) -> ClassId:
+    """The class of the sign's u-factor of a monomial."""
+    return s.plus if plus else s.minus
+
+
+def _acc_tensor(store: dict, c, images):
+    """Accumulate c times the tensor product of the per-slot images."""
+    for combo in itertools.product(*(im.terms.items() for im in images)):
+        cc = c
+        for _, cv in combo:
+            cc = cc * cv
+        _acc(store, tuple(s for s, _ in combo), cc)
 
 
 def _acc(store: dict, key, val):

@@ -40,6 +40,8 @@ ClassId = tuple[DimVec, int]
 
 DEFAULT_MAX_STATES = 10**7
 DEFAULT_MAX_CLASSES = 10**6
+# Orbit states pack matrix entries into bytes.
+MAX_FIELD_SIZE = 251
 
 
 class LimitExceeded(RuntimeError):
@@ -347,8 +349,10 @@ class ClassTable:
         max_states: int = DEFAULT_MAX_STATES,
         max_classes: int = DEFAULT_MAX_CLASSES,
     ):
-        if fld.q > 251:
-            raise ValueError("field sizes above 251 are not supported by the state encoding")
+        if fld.q > MAX_FIELD_SIZE:
+            raise ValueError(
+                f"field sizes above {MAX_FIELD_SIZE} are not supported by the state encoding"
+            )
         self.quiver = quiver
         self.field = fld
         self.q = fld.q

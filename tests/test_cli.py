@@ -53,6 +53,24 @@ def test_parse_defaults():
     assert c.height == 2
     assert c.max_states == 10**7
     assert c.output_format == "text"
+    two = parse_config("[quiver]\nvertices = 2\n[field]\nq = 2\n[limits]\nbound = [2, 3]\n")
+    assert two.height == 2
+
+
+def test_kac_passes_with_default_height(tmp_path, capsys):
+    cfg = tmp_path / "a2.cfg"
+    cfg.write_text("[quiver]\nvertices = 2\narrows = [[1, 2]]\n[field]\nq = 2\n[limits]\nbound = [2, 2]\n")
+    assert main(["verify", "--config", str(cfg), "--suite", "kac"]) == 0
+    assert "suite kac: pass" in capsys.readouterr().out
+
+
+def test_field_size_limit_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "q257.cfg"
+    cfg.write_text("[quiver]\nvertices = 1\n[field]\nq = 257\n")
+    assert main(["classify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "line 4" in captured.err and "251" in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_roundtrip():

@@ -6,7 +6,8 @@ longer orientations, reversed arrows, and a larger prime.
 
 import pytest
 
-from hallalg import ClassTable, GroundField, Quiver, enumerate_classes
+from hallalg import ClassTable, GroundField, Quiver
+from hallalg.repcat import enumerate_classes
 from hallalg.gkm import cartan_from_datum, datum_from_table
 from hallalg.verify import (
     suite_character,

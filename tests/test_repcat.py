@@ -9,14 +9,12 @@ from hallalg import (
     LimitExceeded,
     Quiver,
     Rep,
-    aut_count,
-    enumerate_classes,
     euler_form,
     ext_dim,
     hom_dim,
-    is_indecomposable,
     symmetric_euler_form,
 )
+from hallalg.repcat import aut_count, enumerate_classes, is_indecomposable
 from hallalg.modlin import gl_order
 
 from conftest import a2, jordan, kronecker
