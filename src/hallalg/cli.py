@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -191,6 +192,17 @@ def config_digest(c: Config) -> str:
     return hashlib.sha256(config_to_text(c).encode()).hexdigest()
 
 
+def _to_json(data) -> str:
+    """The indented JSON text of data, streamed into one buffer.
+
+    json.dumps with indent joins a list of every chunk the encoder yields,
+    which for a large report takes several times the memory of the text.
+    """
+    buf = io.StringIO()
+    json.dump(data, buf, indent=2)
+    return buf.getvalue()
+
+
 def _report_dict(report, digest: str) -> dict:
     """The pinned JSON report schema of one suite."""
     data = report.to_dict()
@@ -204,7 +216,7 @@ def _report_dict(report, digest: str) -> dict:
 
 def emit_report(report, fmt: str, digest: str) -> str:
     if fmt == "json":
-        return json.dumps(_report_dict(report, digest), indent=2)
+        return _to_json(_report_dict(report, digest))
     p, f, s = report.counts()
     lines = [f"suite {report.suite}: {report.overall} ({p} passed, {f} failed, {s} skipped)"]
     for c in report.checks:
@@ -227,9 +239,8 @@ def _cmd_classify(config: Config) -> tuple[int, str]:
             }
         )
     if config.output_format == "json":
-        return 0, json.dumps(
-            {"command": "classify", "config_digest": config_digest(config), "rows": rows},
-            indent=2,
+        return 0, _to_json(
+            {"command": "classify", "config_digest": config_digest(config), "rows": rows}
         )
     lines = ["dim  classes  indecomposable"]
     for r in rows:
@@ -254,9 +265,8 @@ def _cmd_hall_table(config: Config) -> tuple[int, str]:
                         }
                     )
     if config.output_format == "json":
-        return 0, json.dumps(
-            {"command": "hall-table", "config_digest": config_digest(config), "rows": rows},
-            indent=2,
+        return 0, _to_json(
+            {"command": "hall-table", "config_digest": config_digest(config), "rows": rows}
         )
     lines = [f"g[{r['gamma']}; {r['quotient']}, {r['sub']}] = {r['count']}" for r in rows]
     return 0, "\n".join(lines)
@@ -279,7 +289,7 @@ def _cmd_cartan(config: Config) -> tuple[int, str]:
         "imaginary": [i + 1 for i in cartan.imaginary_indices()],
     }
     if config.output_format == "json":
-        return 0, json.dumps(data, indent=2)
+        return 0, _to_json(data)
     lines = ["cartan matrix:"]
     for r in cartan.entries:
         lines.append("  " + " ".join(f"{x:3d}" for x in r))
@@ -299,14 +309,13 @@ def _cmd_roots(config: Config, height: int | None) -> tuple[int, str]:
         for r in roots
     ]
     if config.output_format == "json":
-        return 0, json.dumps(
+        return 0, _to_json(
             {
                 "command": "roots",
                 "config_digest": config_digest(config),
                 "height": h,
                 "rows": rows,
-            },
-            indent=2,
+            }
         )
     lines = [f"positive roots up to height {h}: {len(rows)}"]
     for r in rows:
@@ -335,7 +344,7 @@ def _cmd_sv(config: Config) -> tuple[int, str]:
         "extended_cartan": [list(r) for r in ext.cartan.entries],
     }
     if config.output_format == "json":
-        return 0, json.dumps(data, indent=2)
+        return 0, _to_json(data)
     lines = ["theta  classes  decomposable  new"]
     for r in rows:
         lines.append(
@@ -352,7 +361,7 @@ def _cmd_verify(config: Config, suite: str) -> tuple[int, str]:
     reports = [run_suite(n, table, height=config.height) for n in names]
     if config.output_format == "json":
         data = [_report_dict(r, digest) for r in reports]
-        out = json.dumps(data[0] if len(data) == 1 else data, indent=2)
+        out = _to_json(data[0] if len(data) == 1 else data)
     else:
         out = "\n".join(emit_report(r, "text", digest) for r in reports)
     code = 0 if all(r.overall == "pass" for r in reports) else 1

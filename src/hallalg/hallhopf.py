@@ -408,15 +408,28 @@ class DoubleHall:
         return self.field.v_pow(e) * Fraction(1, t.aut(sx.plus))
 
     def phi(self, x: AlgElt, y: AlgElt) -> Scalar:
-        """The bilinear pairing of the positive against the negative algebra."""
-        self._require(self.is_pure_plus(x), "phi needs a pure plus left argument")
-        self._require(self.is_pure_minus(y), "phi needs a pure minus right argument")
+        """The bilinear pairing of the positive against the negative algebra.
+
+        Only terms with sx.plus == sy.minus pair nontrivially, so y's terms
+        are indexed by their minus class.  An impure x is reported before an
+        impure y.
+        """
+        zero = self.zero_cid
+        by_minus: dict | None = {}
+        for sy, cy in y.terms.items():
+            if sy.plus != zero:
+                by_minus = None
+                break
+            by_minus.setdefault(sy.minus, []).append((sy, cy))
         out = self.field.zero
         for sx, cx in x.terms.items():
-            for sy, cy in y.terms.items():
-                v = self._phi_sym(sx, sy)
-                if v:
-                    out = out + cx * cy * v
+            if sx.minus != zero:
+                raise ValueError("phi needs a pure plus left argument")
+            if by_minus is not None:
+                for sy, cy in by_minus.get(sx.plus, ()):
+                    out = out + cx * cy * self._phi_sym(sx, sy)
+        if by_minus is None:
+            raise ValueError("phi needs a pure minus right argument")
         return out
 
     def _omega_of_sym(self, s: BasisSym) -> AlgElt:

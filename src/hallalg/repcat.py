@@ -4,7 +4,9 @@ Isomorphism classes are materialized per dimension vector by closing
 candidate representations under the base-change group with a breadth-first
 orbit search; the canonical representative of a class is the
 lexicographically least representation in its orbit under the fixed
-flattening (arrow matrices in arrow-list order, each row-major).
+flattening (arrow matrices in arrow-list order, each row-major).  Every
+state of the variety is kept as one order-preserving packed key with its
+class label, in two parallel sorted arrays per dimension vector.
 Automorphism counts come from the orbit-stabilizer identity, Hall numbers
 from direct subrepresentation enumeration.
 """
@@ -40,8 +42,12 @@ ClassId = tuple[DimVec, int]
 
 DEFAULT_MAX_STATES = 10**7
 DEFAULT_MAX_CLASSES = 10**6
-# Orbit states pack matrix entries into bytes.
+# Rep.key() and the digit rows of orbit states hold one matrix entry per byte.
 MAX_FIELD_SIZE = 251
+# Packed keys up to this many bits are native uint64, longer ones void bytes.
+_NATIVE_KEY_BITS = 64
+# Orbit states are expanded, and candidates generated, this many rows at a time.
+_CHUNK = 1 << 15
 
 
 class LimitExceeded(RuntimeError):
@@ -325,18 +331,110 @@ class RepClass:
         return f"RepClass({self.cid[0]}:{self.cid[1]})"
 
 
+class _KeyCodec:
+    """Order-preserving packing of states into fixed-width keys.
+
+    A state is the row of its n matrix entries in Rep.key() order.  Each entry
+    takes `bits` bits, big-endian, so keys compare exactly as the rows do
+    lexicographically.  Keys of at most _NATIVE_KEY_BITS bits are uint64;
+    longer keys are the big-endian bytes of the same integer as a void dtype,
+    which numpy sorts and compares bytewise.  Only this class knows which.
+    """
+
+    def __init__(self, q: int, n: int):
+        self.n = n
+        self.bits = max(1, (q - 1).bit_length())
+        self.nbytes = (n * self.bits + 7) // 8
+        self.pad = 8 * self.nbytes - n * self.bits
+        self.native = n * self.bits <= _NATIVE_KEY_BITS
+        self.dtype = np.dtype(np.uint64 if self.native else f"V{self.nbytes}")
+        if self.native:
+            self.shifts = np.arange(n - 1, -1, -1, dtype=np.uint64) * np.uint64(self.bits)
+            self.weights = np.uint64(1) << self.shifts
+
+    def pack_rows(self, digits: np.ndarray) -> np.ndarray:
+        """Keys of a (rows, n) uint8 array of states."""
+        rows = digits.shape[0]
+        if self.native:
+            return digits @ self.weights
+        bits = np.unpackbits(digits[:, :, None], axis=2)[:, :, 8 - self.bits :]
+        bits = np.concatenate(
+            [np.zeros((rows, self.pad), dtype=np.uint8), bits.reshape(rows, -1)], axis=1
+        )
+        return np.packbits(bits, axis=1).view(self.dtype).reshape(rows)
+
+    def unpack_rows(self, keys: np.ndarray) -> np.ndarray:
+        """The (rows, n) uint8 states of an array of keys."""
+        rows = keys.shape[0]
+        if self.native:
+            mask = np.uint64((1 << self.bits) - 1)
+            return ((keys[:, None] >> self.shifts) & mask).astype(np.uint8)
+        bits = np.unpackbits(keys.view(np.uint8).reshape(rows, self.nbytes), axis=1)
+        full = np.zeros((rows, self.n, 8), dtype=np.uint8)
+        full[:, :, 8 - self.bits :] = bits[:, self.pad :].reshape(rows, self.n, self.bits)
+        return np.packbits(full, axis=2).reshape(rows, self.n)
+
+    def pack(self, mats) -> np.generic:
+        """The key of one representation's matrices, without array temporaries."""
+        k = 0
+        for m in mats:
+            for row in m.tolist():
+                for x in row:
+                    k = (k << self.bits) | x
+        if self.native:
+            return np.uint64(k)
+        return np.void(k.to_bytes(self.nbytes, "big"))
+
+
+def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which of keys occur in the sorted array sorted_keys."""
+    if not sorted_keys.size:
+        return np.zeros(keys.shape, dtype=bool)
+    idx = sorted_keys.searchsorted(keys)
+    np.minimum(idx, sorted_keys.size - 1, out=idx)
+    return sorted_keys[idx] == keys
+
+
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct keys; sorting beats np.unique's hash table here."""
+    keys = np.sort(keys)
+    keep = np.ones(keys.size, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
+def _product_rows(q: int, width: int) -> np.ndarray:
+    """All rows of itertools.product(range(q), repeat=width), as uint8."""
+    rows = list(itertools.product(range(q), repeat=width))
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), width)
+
+
 @dataclass
 class _MuData:
+    """The classes of one dimension vector and every state of its variety.
+
+    keys is sorted; labels[i] is the class index of the state keys[i].
+    """
+
     classes: tuple[RepClass, ...]
-    state_to_idx: dict
+    codec: _KeyCodec
+    keys: np.ndarray
+    labels: np.ndarray
+
+    def label(self, mats) -> int | None:
+        k = self.codec.pack(mats)
+        i = int(self.keys.searchsorted(k))
+        if i == self.keys.size or self.keys[i] != k:
+            return None
+        return int(self.labels[i])
 
 
 class ClassTable:
     """All isomorphism classes with dimension vector inside a componentwise bound.
 
     Classes are enumerated lazily per dimension vector and cached together
-    with the full orbit membership map, so classifying an arbitrary
-    representation inside the bound is a dictionary lookup.  Identical
+    with the class label of every state of the variety, so classifying an
+    arbitrary representation inside the bound is a binary search.  Identical
     inputs give identical class ids and orderings.
     """
 
@@ -362,7 +460,6 @@ class ClassTable:
         self.max_states = int(max_states)
         self.max_classes = int(max_classes)
         self._mu: dict[DimVec, _MuData] = {}
-        self._gens: dict[DimVec, list] = {}
         self._hall_dist: dict = {}
         self._hall_multi: dict = {}
         self._hom: dict = {}
@@ -407,11 +504,10 @@ class ClassTable:
     def classify(self, rep: Rep) -> ClassId:
         mu = rep.dim
         self._ensure(mu)
-        data = self._mu[mu]
-        key = rep.key()
-        if key not in data.state_to_idx:
+        label = self._mu[mu].label(rep.mats)
+        if label is None:
             raise ValueError("representation is not nilpotent or not in the table")
-        return (mu, data.state_to_idx[key])
+        return (mu, label)
 
     def euler(self, a, b) -> int:
         key = (tuple(a), tuple(b))
@@ -424,25 +520,11 @@ class ClassTable:
     def sym(self, a, b) -> int:
         return self.euler(a, b) + self.euler(b, a)
 
-    def _generators(self, mu: DimVec):
-        if mu not in self._gens:
-            gens = []
-            for v, d in enumerate(mu):
-                for g, gi in modlin.gl_generators(d, self.q):
-                    gens.append((v, g, gi))
-            self._gens[mu] = gens
-        return self._gens[mu]
-
     def _shapes(self, mu: DimVec):
         return [(mu[t], mu[s]) for s, t in self.quiver.arrows]
 
-    def _key_rows(self, mats_batch: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate(
-            [m.reshape(m.shape[0], -1) for m in mats_batch], axis=1
-        ).astype(np.uint8)
-
-    def _mats_from_key(self, key: bytes, mu: DimVec) -> list[np.ndarray]:
-        flat = np.frombuffer(key, dtype=np.uint8).astype(np.int64)
+    def _mats_from_row(self, row: np.ndarray, mu: DimVec) -> list[np.ndarray]:
+        flat = row.astype(np.int64)
         mats = []
         off = 0
         for nt, ns in self._shapes(mu):
@@ -450,124 +532,172 @@ class ClassTable:
             off += nt * ns
         return mats
 
-    def _orbit(self, mu: DimVec, seed: list[np.ndarray], visited: dict, idx: int):
-        """Close one orbit under the base-change generators; returns (min_key, size)."""
+    def _state_maps(self, mu: DimVec) -> tuple[np.ndarray, np.ndarray]:
+        """The base-change generators and their inverses as sparse maps on states.
+
+        Returns (src, coef) of shape (terms, maps, n): entry j of the image
+        of a state row under map m is sum_t coef[t, m, j] * row[src[t, m, j]]
+        mod q, with zero coefficients padding maps of fewer terms.  With the
+        inverses included the orbit graph is undirected.  Duplicate maps are
+        dropped.
+        """
         p = self.q
-        arrows = self.quiver.arrows
-        if not arrows:
-            visited[b""] = idx
-            return b"", 1
-        gens = self._generators(mu)
-        key = self._key_rows([m[None] for m in seed])[0].tobytes()
-        visited[key] = idx
-        min_key = key
-        size = 1
-        frontier = [m[None].copy() for m in seed]
-        while frontier:
-            keep_mats: list[list[np.ndarray]] = []
-            for v, g, gi in gens:
-                out = []
-                for (s, t), m in zip(arrows, frontier):
-                    a = m
+        shapes = self._shapes(mu)
+        n = sum(nt * ns for nt, ns in shapes)
+        basis = np.eye(n, dtype=np.int64)
+        blocks = []
+        off = 0
+        for nt, ns in shapes:
+            blocks.append(basis[:, off : off + nt * ns].reshape(n, nt, ns))
+            off += nt * ns
+        gens = []
+        if self.quiver.arrows:  # otherwise every dimension vector has one state
+            gens = [(v, g, gi) for v, d in enumerate(mu) for g, gi in modlin.gl_generators(d, p)]
+        linears: dict[bytes, np.ndarray] = {}
+        for v, g, gi in gens:
+            for a, ai in ((g, gi), (gi, g)):
+                images = []
+                for (s, t), m in zip(self.quiver.arrows, blocks):
                     if t == v:
-                        a = np.einsum("ij,bjk->bik", g, a) % p
+                        m = np.matmul(a, m) % p
                     if s == v:
-                        a = np.einsum("bij,jk->bik", a, gi) % p
-                    out.append(a)
-                rows = self._key_rows(out)
-                keep = []
-                for r in range(rows.shape[0]):
-                    k = rows[r].tobytes()
-                    if k not in visited:
-                        visited[k] = idx
-                        size += 1
-                        if k < min_key:
-                            min_key = k
-                        keep.append(r)
-                if keep:
-                    keep_mats.append([a[keep] for a in out])
-                if len(visited) > self.max_states:
+                        m = np.matmul(m, ai) % p
+                    images.append(m.reshape(n, m.shape[1] * m.shape[2]))
+                # Row j holds the coefficients of entry j of the image.
+                linear = np.concatenate(images, axis=1).T
+                linears.setdefault(linear.tobytes(), linear)
+        terms = max(
+            (int((m != 0).sum(axis=1).max(initial=0)) for m in linears.values()), default=0
+        )
+        peak = terms * (p - 1) ** 2
+        dtype = np.uint8 if peak < 2**8 else np.uint16 if peak < 2**16 else np.uint32
+        src = np.zeros((terms, len(linears), n), dtype=np.intp)
+        coef = np.zeros((terms, len(linears), n), dtype=dtype)
+        for k, linear in enumerate(linears.values()):
+            for j in range(n):
+                cols = np.flatnonzero(linear[j])
+                src[: cols.size, k, j] = cols
+                coef[: cols.size, k, j] = linear[j, cols]
+        return src, coef
+
+    def _orbit(self, mu: DimVec, codec: _KeyCodec, maps, seed: np.ndarray, closed: int):
+        """The sorted keys of the orbit of the one-key array seed.
+
+        Breadth-first, one level at a time: since every generator comes with
+        its inverse, a new state can only repeat one of the previous or the
+        current level.  closed counts the states of earlier orbits of mu.
+        """
+        src, coef = maps
+        nmaps = src.shape[1]
+        if not nmaps:
+            return seed
+        step = max(1, _CHUNK // nmaps)
+        prev = seed[:0]
+        cur = seed
+        levels = [seed]
+        size = 1
+        while cur.size:
+            nxt = seed[:0]
+            for start in range(0, cur.size, step):
+                rows = codec.unpack_rows(cur[start : start + step])
+                images = (rows[:, src] * coef).sum(axis=1, dtype=coef.dtype)
+                images %= self.q
+                images = images.astype(np.uint8, copy=False)
+                new = _unique(codec.pack_rows(images.reshape(rows.shape[0] * nmaps, codec.n)))
+                new = new[~(_member(prev, new) | _member(cur, new) | _member(nxt, new))]
+                if closed + size + nxt.size + new.size > self.max_states:
                     raise LimitExceeded(
                         f"orbit states at dimension {mu} exceed max_states={self.max_states}"
                     )
-            if keep_mats:
-                frontier = [
-                    np.concatenate([km[i] for km in keep_mats], axis=0)
-                    for i in range(len(arrows))
-                ]
-            else:
-                frontier = []
-        return min_key, size
+                # Both parts are sorted, so the stable sort is a linear merge.
+                nxt = np.sort(np.concatenate([nxt, new]), kind="stable")
+            size += nxt.size
+            prev, cur = cur, nxt
+            levels.append(cur)
+        return np.sort(np.concatenate(levels), kind="stable")
 
     def _candidates(self, mu: DimVec):
-        """Representations covering every class of dimension mu.
+        """Blocks of state rows covering every class of dimension mu.
 
         Every nilpotent representation is an extension of a vertex simple
         (a top composition factor) by a smaller class, so extending each
         class of mu - e_i by a new basis vector at vertex i hits every
-        orbit.
+        orbit.  The free entries (the new column of each arrow leaving i)
+        run through F_q in itertools.product order.
         """
         q = self.q
         arrows = self.quiver.arrows
+        shapes = self._shapes(mu)
+        n = sum(nt * ns for nt, ns in shapes)
         for i in range(self.quiver.vertices):
             if mu[i] == 0:
                 continue
             nu = dim_sub(mu, self.quiver.unit_dim(i))
             for parent in self.classes(nu):
-                out_arrows = [k for k, (s, _) in enumerate(arrows) if s == i]
-                free = [nu[arrows[k][1]] for k in out_arrows]
-                total_free = sum(free)
-                for vals in itertools.product(range(q), repeat=total_free):
-                    mats = []
-                    pos = 0
-                    cursor = {}
-                    for k, f in zip(out_arrows, free):
-                        cursor[k] = vals[pos : pos + f]
-                        pos += f
-                    for k, (s, t) in enumerate(arrows):
-                        base = parent.rep.mats[k]
-                        m = np.zeros((mu[t], mu[s]), dtype=np.int64)
-                        m[: nu[t], : nu[s]] = base
-                        if s == i:
-                            col = np.array(cursor[k], dtype=np.int64)
-                            m[: nu[t], nu[s]] = col
-                        mats.append(m)
-                    yield mats
+                base = np.zeros(n, dtype=np.uint8)
+                free = []
+                off = 0
+                for k, ((s, t), (nt, ns)) in enumerate(zip(arrows, shapes)):
+                    block = base[off : off + nt * ns].reshape(nt, ns)
+                    block[: nu[t], : nu[s]] = parent.rep.mats[k]
+                    if s == i:
+                        free.extend(off + r * ns + nu[s] for r in range(nu[t]))
+                    off += nt * ns
+                low = 0
+                while low < len(free) and q ** (low + 1) <= _CHUNK:
+                    low += 1
+                high, low_cols = free[: len(free) - low], free[len(free) - low :]
+                grid = _product_rows(q, low)
+                for vals in itertools.product(range(q), repeat=len(high)):
+                    rows = np.tile(base, (grid.shape[0], 1))
+                    rows[:, high] = vals
+                    rows[:, low_cols] = grid
+                    yield rows
 
     def _ensure(self, mu: DimVec):
         if mu in self._mu:
             return
         zero = self.quiver.zero_dim()
+        codec = _KeyCodec(self.q, sum(nt * ns for nt, ns in self._shapes(mu)))
         if mu == zero:
             rep = Rep.zero(self.quiver, self.q, mu)
             cls = RepClass((mu, 0), rep, 1, 1, False)
-            self._mu[mu] = _MuData((cls,), {rep.key(): 0})
+            keys = codec.pack_rows(np.zeros((1, codec.n), dtype=np.uint8))
+            self._mu[mu] = _MuData((cls,), codec, keys, np.zeros(1, dtype=np.int32))
             self._nclasses += 1
             return
-        visited: dict[bytes, int] = {}
-        orbits: list[tuple[bytes, int]] = []
-        has_arrows = bool(self.quiver.arrows)
-        for mats in self._candidates(mu):
-            if has_arrows:
-                key = self._key_rows([m[None] for m in mats])[0].tobytes()
-            else:
-                key = b""
-            if key in visited:
-                continue
-            min_key, size = self._orbit(mu, mats, visited, len(orbits))
-            orbits.append((min_key, size))
-        order = sorted(range(len(orbits)), key=lambda k: orbits[k][0])
-        rank_of = {old: new for new, old in enumerate(order)}
-        for k in visited:
-            visited[k] = rank_of[visited[k]]
+        maps = self._state_maps(mu)
+        orbits: list[np.ndarray] = []
+        nstates = 0
+        for rows in self._candidates(mu):
+            cand = codec.pack_rows(rows)
+            seen = np.zeros(cand.size, dtype=bool)
+            for orbit in orbits:
+                seen |= _member(orbit, cand)
+            for r in range(cand.size):
+                if seen[r]:
+                    continue
+                orbit = self._orbit(mu, codec, maps, cand[r : r + 1], nstates)
+                orbits.append(orbit)
+                nstates += orbit.size
+                seen |= _member(orbit, cand)
+        mins = np.concatenate([orbit[:1] for orbit in orbits])
+        order = np.argsort(mins, kind="stable")
+        keys = np.concatenate(orbits)
+        keys.sort(kind="stable")
+        labels = np.empty(keys.size, dtype=np.int32)
+        sizes = []
+        for new, old in enumerate(order):
+            labels[keys.searchsorted(orbits[old])] = new
+            sizes.append(orbits[old].size)
+        del orbits
         group_order = 1
         for d in mu:
             group_order *= modlin.gl_order(d, self.q)
         classes = []
-        for new, old in enumerate(order):
-            min_key, size = orbits[old]
+        for new, (row, size) in enumerate(zip(codec.unpack_rows(mins[order]), sizes)):
             assert group_order % size == 0
-            rep = Rep(self.quiver, self.q, mu, self._mats_from_key(min_key, mu))
+            rep = Rep(self.quiver, self.q, mu, self._mats_from_row(row, mu))
             classes.append(
                 RepClass((mu, new), rep, group_order // size, size, True)
             )
@@ -576,6 +706,7 @@ class ClassTable:
             raise LimitExceeded(
                 f"class count exceeds max_classes={self.max_classes} at dimension {mu}"
             )
+        data = _MuData(tuple(classes), codec, keys, labels)
         # Krull-Schmidt: a class is decomposable exactly when it is a direct
         # sum of two smaller classes.
         decomposable = set()
@@ -589,13 +720,12 @@ class ClassTable:
             seen_pairs.add((nu, rest))
             for left in self.classes(nu):
                 for right in self.classes(rest):
-                    key = left.rep.direct_sum(right.rep).key()
-                    decomposable.add(visited[key])
-        final = tuple(
+                    decomposable.add(data.label(left.rep.direct_sum(right.rep).mats))
+        data.classes = tuple(
             RepClass(c.cid, c.rep, c.aut, c.orbit_size, c.cid[1] not in decomposable)
             for c in classes
         )
-        self._mu[mu] = _MuData(final, visited)
+        self._mu[mu] = data
 
     # ----- Hall numbers ---------------------------------------------------
 

@@ -208,9 +208,9 @@ def test_phi_examples(kronecker_q2):
 def test_phi_rejects_mixed_inputs(a2_q2):
     H = _H(a2_q2)
     s1 = a2_q2.simple_ids()[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="phi needs a pure plus left argument"):
         H.phi(H.u_minus(s1), H.u_minus(s1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="phi needs a pure minus right argument"):
         H.phi(H.u_plus(s1), H.u_plus(s1))
 
 

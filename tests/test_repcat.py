@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hallalg import (
     ClassTable,
@@ -14,7 +16,8 @@ from hallalg import (
     hom_dim,
     symmetric_euler_form,
 )
-from hallalg.repcat import aut_count, enumerate_classes, is_indecomposable
+from hallalg import repcat
+from hallalg.repcat import _KeyCodec, aut_count, enumerate_classes, is_indecomposable
 from hallalg.modlin import gl_order
 
 from conftest import a2, jordan, kronecker
@@ -260,6 +263,15 @@ def test_two_loop_quiver_single_simple():
     assert len(enumerate_classes(two_loops, GroundField(2), (1,))) == 1
 
 
+def test_quiver_without_arrows_has_one_class_per_degree():
+    t = ClassTable(Quiver(2, []), GroundField(2), (2, 2))
+    for mu in t.degrees():
+        (c,) = t.classes(mu)
+        assert c.aut == gl_order(mu[0], 2) * gl_order(mu[1], 2)
+        assert c.indecomposable == (sum(mu) == 1)
+        assert t.classify(Rep.zero(t.quiver, 2, mu)) == c.cid
+
+
 def test_orbit_stabilizer_grid():
     for quiver, bound in ((jordan(), (2,)), (a2(), (2, 2)), (kronecker(), (2, 2))):
         for q in (2, 3):
@@ -336,6 +348,108 @@ def test_limits():
     assert "(3,)" in str(exc.value)
     with pytest.raises(LimitExceeded):
         ClassTable(jordan(), GroundField(2), (3,), max_classes=2).classes((3,))
+
+
+def test_state_counts_match_closed_forms():
+    # Fine-Herstein: there are q^(n^2 - n) nilpotent n x n matrices over F_q.
+    # Every representation of an acyclic quiver is nilpotent.
+    for q in (2, 3):
+        t = ClassTable(jordan(), GroundField(q), (4,))
+        for n in range(5):
+            assert sum(c.orbit_size for c in t.classes((n,))) == q ** (n * n - n)
+        for quiver in (a2(), kronecker()):
+            t = ClassTable(quiver, GroundField(q), (2, 2))
+            for mu in t.degrees():
+                entries = sum(mu[s] * mu[tt] for s, tt in quiver.arrows)
+                assert sum(c.orbit_size for c in t.classes(mu)) == q**entries
+
+
+def test_classify_every_point_by_brute_force_orbit_minimum():
+    # Every representation of dimension mu, nilpotent or not, against the
+    # least point of its orbit under the independent GL machinery.
+    cases = [(jordan(), 2, (3,)), (kronecker(), 3, (1, 1))]
+    for quiver, q, mu in cases:
+        t = ClassTable(quiver, GroundField(q), mu)
+        by_rep = {
+            tuple(int(x) for m in c.rep.mats for x in m.flat): c.cid
+            for c in t.classes(mu)
+        }
+        group = [(g, [_mat_inv_brute(x, q) for x in g]) for g in _invertible_tuples(mu, q)]
+        shapes = [(mu[tt], mu[s]) for s, tt in quiver.arrows]
+        least_of = {}
+        for flat in itertools.product(range(q), repeat=sum(r * c for r, c in shapes)):
+            mats = []
+            off = 0
+            for r, c in shapes:
+                mats.append(tuple(tuple(flat[off + i * c : off + (i + 1) * c]) for i in range(r)))
+                off += r * c
+            if flat not in least_of:
+                orbit = set()
+                for g, gi in group:
+                    moved = [
+                        _mat_mul(_mat_mul(g[tt], m, q), gi[s], q)
+                        for (s, tt), m in zip(quiver.arrows, mats)
+                    ]
+                    orbit.add(tuple(x for m in moved for row in m for x in row))
+                least = min(orbit)
+                least_of.update(dict.fromkeys(orbit, least))
+            arrays = [np.array(m, dtype=np.int64).reshape(r, c) for m, (r, c) in zip(mats, shapes)]
+            rep = Rep(quiver, q, mu, arrays)
+            if least_of[flat] in by_rep:
+                assert t.classify(rep) == by_rep[least_of[flat]]
+            else:
+                with pytest.raises(ValueError):
+                    t.classify(rep)
+
+
+@st.composite
+def _state_rows(draw):
+    q = draw(st.sampled_from([2, 3, 5, 251]))
+    n = draw(st.integers(0, 70))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    return q, n, draw(st.lists(row, min_size=1, max_size=20))
+
+
+@given(_state_rows())
+@example((2, 64, [[1] * 64, [0] * 63 + [1], [1] + [0] * 63]))
+@example((2, 65, [[1] * 65, [0] * 64 + [1], [1] + [0] * 64]))
+@example((251, 9, [[250] * 9, [0] * 8 + [250], [1] + [0] * 8]))
+def test_key_packing_preserves_order_and_round_trips(case):
+    q, n, rows = case
+    codec = _KeyCodec(q, n)
+    assert codec.native == (n * max(1, (q - 1).bit_length()) <= 64)
+    digits = np.array(rows, dtype=np.uint8).reshape(len(rows), n)
+    keys = codec.pack_rows(digits)
+    assert np.array_equal(codec.unpack_rows(keys), digits)
+    in_key_order = digits[np.argsort(keys, kind="stable")]
+    assert [tuple(r) for r in in_key_order.tolist()] == sorted(map(tuple, rows))
+    for row, key in zip(rows, keys):
+        assert codec.pack([np.array(row, dtype=np.int64).reshape(1, n)]) == key
+
+
+@pytest.mark.parametrize("q,bound", [(3, (2, 2)), (17, (1, 1))])
+def test_void_keys_give_the_same_table(monkeypatch, q, bound):
+    native = ClassTable(kronecker(), GroundField(q), bound)
+    for mu in native.degrees():
+        native.classes(mu)
+    monkeypatch.setattr(repcat, "_NATIVE_KEY_BITS", 0)
+    wide = ClassTable(kronecker(), GroundField(q), bound)
+    for mu in native.degrees():
+        a, b = native.classes(mu), wide.classes(mu)
+        assert [(c.cid, c.rep.key(), c.aut, c.orbit_size, c.indecomposable) for c in a] == [
+            (c.cid, c.rep.key(), c.aut, c.orbit_size, c.indecomposable) for c in b
+        ]
+    assert wide._mu[bound].keys.dtype.kind == "V"
+    for c in native.classes(bound):
+        assert native.hall_distribution(c.cid, (1, 1)) == wide.hall_distribution(c.cid, (1, 1))
+
+
+def test_stored_states_cost_at_most_16_bytes_each():
+    t = ClassTable(jordan(), GroundField(2), (4,))
+    t.classes((4,))
+    data = t._mu[(4,)]
+    assert data.keys.size == 2**12
+    assert data.keys.nbytes + data.labels.nbytes <= 16 * data.keys.size
 
 
 # ----- hom / ext ------------------------------------------------------------
