@@ -140,10 +140,11 @@ def parse_config(text: str) -> Config:
     if (
         not isinstance(bound, list)
         or len(bound) != vertices
-        or not all(isinstance(b, int) and b >= 0 for b in bound)
+        or not all(isinstance(b, int) and b >= 1 for b in bound)
     ):
+        # Every suite needs the simple of each vertex inside the bound.
         raise ConfigError(
-            f"bound must be a list of {vertices} nonnegative integers", ln
+            f"[limits] bound must be a list of {vertices} positive integers", ln
         )
     height, ln = take("limits", "height", default=min(bound))
     if not isinstance(height, int) or height < 0:

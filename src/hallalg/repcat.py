@@ -44,9 +44,9 @@ DEFAULT_MAX_STATES = 10**7
 DEFAULT_MAX_CLASSES = 10**6
 # Rep.key() and the digit rows of orbit states hold one matrix entry per byte.
 MAX_FIELD_SIZE = 251
-# Packed keys up to this many bits are native uint64, longer ones void bytes.
+# Packed keys up to this many bits are native unsigned integers, longer ones void bytes.
 _NATIVE_KEY_BITS = 64
-# Orbit states are expanded, and candidates generated, this many rows at a time.
+# Orbit states are expanded and labelled, and candidates generated, this many rows at a time.
 _CHUNK = 1 << 15
 
 
@@ -336,9 +336,11 @@ class _KeyCodec:
 
     A state is the row of its n matrix entries in Rep.key() order.  Each entry
     takes `bits` bits, big-endian, so keys compare exactly as the rows do
-    lexicographically.  Keys of at most _NATIVE_KEY_BITS bits are uint64;
-    longer keys are the big-endian bytes of the same integer as a void dtype,
-    which numpy sorts and compares bytewise.  Only this class knows which.
+    lexicographically.  Keys of at most _NATIVE_KEY_BITS bits are the
+    narrowest unsigned integer dtype that holds n * bits bits (uint32 for the
+    25 bits of a 5x5 matrix over F_2); longer keys are the big-endian bytes
+    of the same integer as a void dtype, which numpy sorts and compares
+    bytewise.  Only this class knows which.
     """
 
     def __init__(self, q: int, n: int):
@@ -347,10 +349,12 @@ class _KeyCodec:
         self.nbytes = (n * self.bits + 7) // 8
         self.pad = 8 * self.nbytes - n * self.bits
         self.native = n * self.bits <= _NATIVE_KEY_BITS
-        self.dtype = np.dtype(np.uint64 if self.native else f"V{self.nbytes}")
         if self.native:
-            self.shifts = np.arange(n - 1, -1, -1, dtype=np.uint64) * np.uint64(self.bits)
-            self.weights = np.uint64(1) << self.shifts
+            self.dtype = np.min_scalar_type((1 << (n * self.bits)) - 1)
+            self.shifts = np.arange(n - 1, -1, -1, dtype=self.dtype) * self.dtype.type(self.bits)
+            self.weights = self.dtype.type(1) << self.shifts
+        else:
+            self.dtype = np.dtype(f"V{self.nbytes}")
 
     def pack_rows(self, digits: np.ndarray) -> np.ndarray:
         """Keys of a (rows, n) uint8 array of states."""
@@ -367,7 +371,7 @@ class _KeyCodec:
         """The (rows, n) uint8 states of an array of keys."""
         rows = keys.shape[0]
         if self.native:
-            mask = np.uint64((1 << self.bits) - 1)
+            mask = self.dtype.type((1 << self.bits) - 1)
             return ((keys[:, None] >> self.shifts) & mask).astype(np.uint8)
         bits = np.unpackbits(keys.view(np.uint8).reshape(rows, self.nbytes), axis=1)
         full = np.zeros((rows, self.n, 8), dtype=np.uint8)
@@ -382,7 +386,7 @@ class _KeyCodec:
                 for x in row:
                     k = (k << self.bits) | x
         if self.native:
-            return np.uint64(k)
+            return self.dtype.type(k)
         return np.void(k.to_bytes(self.nbytes, "big"))
 
 
@@ -413,7 +417,9 @@ def _product_rows(q: int, width: int) -> np.ndarray:
 class _MuData:
     """The classes of one dimension vector and every state of its variety.
 
-    keys is sorted; labels[i] is the class index of the state keys[i].
+    keys is sorted; labels[i] is the class index of the state keys[i].  Both
+    arrays use the narrowest unsigned dtype that holds their values (for
+    Jordan q=2 at (5,): uint32 keys and uint8 labels, 5 bytes per state).
     """
 
     classes: tuple[RepClass, ...]
@@ -588,7 +594,7 @@ class ClassTable:
         current level.  closed counts the states of earlier orbits of mu.
         """
         src, coef = maps
-        nmaps = src.shape[1]
+        terms, nmaps, _ = src.shape
         if not nmaps:
             return seed
         step = max(1, _CHUNK // nmaps)
@@ -600,7 +606,9 @@ class ClassTable:
             nxt = seed[:0]
             for start in range(0, cur.size, step):
                 rows = codec.unpack_rows(cur[start : start + step])
-                images = (rows[:, src] * coef).sum(axis=1, dtype=coef.dtype)
+                images = np.zeros((rows.shape[0], nmaps, codec.n), dtype=coef.dtype)
+                for t in range(terms):
+                    images += rows[:, src[t]] * coef[t]
                 images %= self.q
                 images = images.astype(np.uint8, copy=False)
                 new = _unique(codec.pack_rows(images.reshape(rows.shape[0] * nmaps, codec.n)))
@@ -610,11 +618,14 @@ class ClassTable:
                         f"orbit states at dimension {mu} exceed max_states={self.max_states}"
                     )
                 # Both parts are sorted, so the stable sort is a linear merge.
-                nxt = np.sort(np.concatenate([nxt, new]), kind="stable")
+                nxt = np.concatenate([nxt, new])
+                nxt.sort(kind="stable")
             size += nxt.size
             prev, cur = cur, nxt
             levels.append(cur)
-        return np.sort(np.concatenate(levels), kind="stable")
+        orbit = np.concatenate(levels)
+        orbit.sort(kind="stable")
+        return orbit
 
     def _candidates(self, mu: DimVec):
         """Blocks of state rows covering every class of dimension mu.
@@ -663,7 +674,7 @@ class ClassTable:
             rep = Rep.zero(self.quiver, self.q, mu)
             cls = RepClass((mu, 0), rep, 1, 1, False)
             keys = codec.pack_rows(np.zeros((1, codec.n), dtype=np.uint8))
-            self._mu[mu] = _MuData((cls,), codec, keys, np.zeros(1, dtype=np.int32))
+            self._mu[mu] = _MuData((cls,), codec, keys, np.zeros(1, dtype=np.uint8))
             self._nclasses += 1
             return
         maps = self._state_maps(mu)
@@ -685,12 +696,14 @@ class ClassTable:
         order = np.argsort(mins, kind="stable")
         keys = np.concatenate(orbits)
         keys.sort(kind="stable")
-        labels = np.empty(keys.size, dtype=np.int32)
+        labels = np.empty(keys.size, dtype=np.min_scalar_type(len(orbits) - 1))
         sizes = []
         for new, old in enumerate(order):
-            labels[keys.searchsorted(orbits[old])] = new
-            sizes.append(orbits[old].size)
-        del orbits
+            orbit, orbits[old] = orbits[old], None
+            for start in range(0, orbit.size, _CHUNK):
+                labels[keys.searchsorted(orbit[start : start + _CHUNK])] = new
+            sizes.append(orbit.size)
+        del orbits, orbit
         group_order = 1
         for d in mu:
             group_order *= modlin.gl_order(d, self.q)

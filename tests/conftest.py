@@ -1,7 +1,14 @@
+import contextlib
+import io
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
 from hallalg import ClassTable, GroundField, Quiver
+from hallalg.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 settings.register_profile("repro", derandomize=True)
 settings.load_profile("repro")
@@ -37,3 +44,28 @@ def kronecker_q2():
 @pytest.fixture(scope="session")
 def jordan_q3():
     return ClassTable(jordan(), GroundField(3), (3,))
+
+
+@pytest.fixture(scope="session")
+def cli_json():
+    """run(config, args): (exit code, stdout) of `hallalg ARGS --config
+    configs/CONFIG.cfg --format json`, computed once per session.
+
+    test_golden pins the bytes of `verify --suite all` on kronecker.cfg, and
+    test_acceptance reads its Kronecker q=2 hopf and pairing reports from the
+    same run instead of computing them a second time.
+    """
+    runs = {}
+
+    def run(config, args):
+        key = (config, tuple(args))
+        if key not in runs:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(
+                    [args[0], "--config", str(CONFIGS / f"{config}.cfg"), "--format", "json", *args[1:]]
+                )
+            runs[key] = code, buf.getvalue()
+        return runs[key]
+
+    return run

@@ -4,6 +4,7 @@ Every comparison is exact (scalars in Q(sqrt(q)), integers, sets); there
 are no tolerances anywhere.
 """
 
+import json
 import time
 
 import pytest
@@ -13,15 +14,14 @@ from hallalg.cli import parse_config, run_command
 from hallalg.hallhopf import AlgElt
 from hallalg.primitives import extend_datum, primitive_space
 from hallalg.verify import (
+    SUITES,
     suite_character,
     suite_composition,
-    suite_hopf,
     suite_kac,
-    suite_pairing,
     suite_sv,
 )
 
-from conftest import a2, jordan, kronecker
+from conftest import CONFIGS, a2, jordan, kronecker
 
 QUIVERS = {"a2": a2(), "jordan": jordan(), "kronecker": kronecker()}
 BOUNDS = {"a2": (2, 2), "jordan": (4,), "kronecker": (2, 2)}
@@ -52,6 +52,23 @@ def _suite_ok(report):
     ][:3]
 
 
+def _suite_result(suite, name, q, cli_json):
+    """_suite_ok of one suite on table(name, q).
+
+    configs/kronecker.cfg is table("kronecker", 2), so its suites are read
+    from the `verify --suite all` report that test_golden also pins.
+    """
+    if (name, q) != ("kronecker", 2):
+        return _suite_ok(SUITES[suite](table(name, q)))
+    config = parse_config((CONFIGS / "kronecker.cfg").read_text())
+    assert (config.arrows, config.q, config.bound) == (QUIVERS[name].arrows, q, BOUNDS[name])
+    _, out = cli_json("kronecker", ["verify", "--suite", "all"])
+    report = next(r for r in json.loads(out) if r["suite"] == suite)
+    return report["overall"] == "pass", [
+        (c["name"], c["witness"]) for c in report["checks"] if c["status"] == "fail"
+    ][:3]
+
+
 def test_criterion_1_kac_theorem():
     t0 = time.time()
     ok = True
@@ -75,15 +92,15 @@ def test_criterion_1_kac_theorem():
 
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("name", ["a2", "jordan", "kronecker"])
-def test_criterion_2_hopf(name, q):
-    good, wit = _suite_ok(suite_hopf(table(name, q)))
+def test_criterion_2_hopf(name, q, cli_json):
+    good, wit = _suite_result("hopf", name, q, cli_json)
     _report(2, f"hopf[{name},q={q}]", good, str(wit) if not good else "")
 
 
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("name", ["a2", "jordan", "kronecker"])
-def test_criterion_3_pairing(name, q):
-    good, wit = _suite_ok(suite_pairing(table(name, q)))
+def test_criterion_3_pairing(name, q, cli_json):
+    good, wit = _suite_result("pairing", name, q, cli_json)
     _report(3, f"pairing[{name},q={q}]", good, str(wit) if not good else "")
 
 

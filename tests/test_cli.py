@@ -73,6 +73,24 @@ def test_field_size_limit_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize(
+    "arrows,bound",
+    [("[[1, 2]]", "[1, 0]"), ("[[1, 2]]", "[0, 0]"), ("[[1, 1]]", "[0]")],
+    ids=["a2-1-0", "a2-0-0", "jordan-0"],
+)
+def test_bound_with_a_zero_component_is_a_config_error(tmp_path, capsys, arrows, bound):
+    vertices = bound.count(",") + 1
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(
+        f"[quiver]\nvertices = {vertices}\narrows = {arrows}\n[field]\nq = 2\n"
+        f"[limits]\nbound = {bound}\n"
+    )
+    assert main(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "line 7" in captured.err and "[limits] bound" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_roundtrip():
     c = parse_config(KRONECKER_TEXT)
     assert parse_config(config_to_text(c)) == c

@@ -3,13 +3,8 @@ configs: the sha256 of stdout, recorded before the sign-generic rewrite of
 the Hall Hopf operations."""
 
 import hashlib
-from pathlib import Path
 
 import pytest
-
-from hallalg.cli import main
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 COMMANDS = {
     "classify": ["classify"],
@@ -43,9 +38,7 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("config,command", sorted(GOLDEN), ids=lambda v: v)
-def test_golden_output(config, command, capsys):
-    args = COMMANDS[command]
-    code = main([args[0], "--config", str(CONFIGS / f"{config}.cfg"), "--format", "json", *args[1:]])
-    out = capsys.readouterr().out
+def test_golden_output(config, command, cli_json):
+    code, out = cli_json(config, COMMANDS[command])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(config, command)]

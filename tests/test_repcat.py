@@ -444,12 +444,44 @@ def test_void_keys_give_the_same_table(monkeypatch, q, bound):
         assert native.hall_distribution(c.cid, (1, 1)) == wide.hall_distribution(c.cid, (1, 1))
 
 
-def test_stored_states_cost_at_most_16_bytes_each():
+@pytest.mark.parametrize(
+    "q,n,dtype",
+    [
+        (2, 8, "u1"),
+        (2, 9, "u2"),
+        (2, 16, "u2"),
+        (2, 17, "u4"),
+        (2, 32, "u4"),
+        (2, 33, "u8"),
+        (2, 64, "u8"),
+        (2, 65, "V9"),
+        (3, 4, "u1"),
+        (3, 5, "u2"),
+    ],
+)
+def test_keys_use_the_narrowest_dtype_at_each_width_boundary(q, n, dtype):
+    codec = _KeyCodec(q, n)
+    assert codec.dtype == np.dtype(dtype)
+    rng = np.random.default_rng(n)
+    edges = [[q - 1] * n, [0] * n, [0] * (n - 1) + [q - 1], [q - 1] + [0] * (n - 1)]
+    digits = np.array(edges + rng.integers(0, q, size=(40, n)).tolist(), dtype=np.uint8)
+    keys = codec.pack_rows(digits)
+    assert keys.dtype == codec.dtype
+    assert np.array_equal(codec.unpack_rows(keys), digits)
+    in_key_order = digits[np.argsort(keys, kind="stable")]
+    assert in_key_order.tolist() == sorted(digits.tolist())
+    for row, key in zip(digits.tolist(), keys):
+        assert codec.pack([np.array(row, dtype=np.int64).reshape(1, n)]) == key
+
+
+def test_stored_states_cost_at_most_3_bytes_each():
     t = ClassTable(jordan(), GroundField(2), (4,))
     t.classes((4,))
     data = t._mu[(4,)]
     assert data.keys.size == 2**12
-    assert data.keys.nbytes + data.labels.nbytes <= 16 * data.keys.size
+    # 12-bit keys fit uint16 and the 5 class labels fit uint8.
+    assert data.keys.dtype == np.uint16 and data.labels.dtype == np.uint8
+    assert data.keys.nbytes + data.labels.nbytes <= 3 * data.keys.size
 
 
 # ----- hom / ext ------------------------------------------------------------
