@@ -595,7 +595,7 @@ class ClassTable:
         """
         src, coef = maps
         terms, nmaps, _ = src.shape
-        if not nmaps:
+        if not terms:  # no generators, or no matrix entries: one state
             return seed
         step = max(1, _CHUNK // nmaps)
         prev = seed[:0]
@@ -606,8 +606,8 @@ class ClassTable:
             nxt = seed[:0]
             for start in range(0, cur.size, step):
                 rows = codec.unpack_rows(cur[start : start + step])
-                images = np.zeros((rows.shape[0], nmaps, codec.n), dtype=coef.dtype)
-                for t in range(terms):
+                images = rows[:, src[0]] * coef[0]
+                for t in range(1, terms):
                     images += rows[:, src[t]] * coef[t]
                 images %= self.q
                 images = images.astype(np.uint8, copy=False)
