@@ -1,4 +1,4 @@
-"""Command line interface: config parsing, command dispatch, report emission.
+"""Command line interface: config parsing and the command table.
 
 Configs are sectioned key-value text files (grammar documented in the
 README).  Reports serialize either as human-readable text or as JSON with
@@ -15,6 +15,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from . import gkm, primitives
 from .hallhopf import DoubleHall
@@ -32,7 +33,6 @@ from .verify import SUITES, run_suite
 
 __all__ = ["Config", "ConfigError", "parse_config", "config_to_text", "run_command", "main"]
 
-_SECTIONS = ("quiver", "field", "limits", "output")
 _KEYS = {
     "quiver": {"vertices", "arrows"},
     "field": {"q"},
@@ -58,20 +58,19 @@ class Config:
     max_classes: int = DEFAULT_MAX_CLASSES
     output_format: str = "text"
 
-    def quiver(self) -> Quiver:
-        return Quiver(self.vertices, self.arrows)
-
-    def field(self) -> GroundField:
-        return GroundField(self.q)
-
     def table(self) -> ClassTable:
         return ClassTable(
-            self.quiver(),
-            self.field(),
+            Quiver(self.vertices, self.arrows),
+            GroundField(self.q),
             self.bound,
             max_states=self.max_states,
             max_classes=self.max_classes,
         )
+
+
+def _is_int(value) -> bool:
+    # json.loads reads true and false as bool, a subclass of int.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_value(raw: str):
@@ -91,7 +90,7 @@ def parse_config(text: str) -> Config:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SECTIONS:
+            if section not in _KEYS:
                 raise ConfigError(f"unknown section [{section}]", lineno)
             continue
         if "=" not in line:
@@ -102,6 +101,8 @@ def parse_config(text: str) -> Config:
             raise ConfigError(f"key {key!r} outside any section", lineno)
         if key not in _KEYS[section]:
             raise ConfigError(f"unknown key {key!r} in section [{section}]", lineno)
+        if (section, key) in values:
+            raise ConfigError(f"repeated key {key!r} in section [{section}]", lineno)
         values[(section, key)] = (_parse_value(raw_val.strip()), lineno)
 
     def take(section, key, default=None, required=False):
@@ -111,9 +112,14 @@ def parse_config(text: str) -> Config:
             raise ConfigError(f"missing required key {key!r} in section [{section}]")
         return (default, None)
 
-    vertices, ln = take("quiver", "vertices", required=True)
-    if not isinstance(vertices, int) or vertices < 1:
-        raise ConfigError("vertices must be a positive integer", ln)
+    def integer(section, key, default=None, minimum=1):
+        value, ln = take(section, key, default, required=default is None)
+        if not _is_int(value) or value < minimum:
+            kind = "positive" if minimum else "nonnegative"
+            raise ConfigError(f"{key} must be a {kind} integer", ln)
+        return value
+
+    vertices = integer("quiver", "vertices")
     arrows_raw, ln = take("quiver", "arrows", default=[])
     arrows = []
     if not isinstance(arrows_raw, list):
@@ -122,9 +128,9 @@ def parse_config(text: str) -> Config:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(x, int) for x in pair)
+            or not all(_is_int(x) for x in pair)
         ):
-            raise ConfigError(f"bad arrow {pair!r}", ln)
+            raise ConfigError(f"bad arrow {pair!r} in arrows", ln)
         s, t = pair
         if not (1 <= s <= vertices and 1 <= t <= vertices):
             raise ConfigError(
@@ -132,7 +138,7 @@ def parse_config(text: str) -> Config:
             )
         arrows.append((s - 1, t - 1))
     q, ln = take("field", "q", required=True)
-    if not isinstance(q, int) or not is_prime(q):
+    if not _is_int(q) or not is_prime(q):
         raise ConfigError("q must be prime", ln)
     if q > MAX_FIELD_SIZE:
         raise ConfigError(f"q must be at most {MAX_FIELD_SIZE}", ln)
@@ -140,21 +146,15 @@ def parse_config(text: str) -> Config:
     if (
         not isinstance(bound, list)
         or len(bound) != vertices
-        or not all(isinstance(b, int) and b >= 1 for b in bound)
+        or not all(_is_int(b) and b >= 1 for b in bound)
     ):
         # Every suite needs the simple of each vertex inside the bound.
         raise ConfigError(
             f"[limits] bound must be a list of {vertices} positive integers", ln
         )
-    height, ln = take("limits", "height", default=min(bound))
-    if not isinstance(height, int) or height < 0:
-        raise ConfigError("height must be a nonnegative integer", ln)
-    max_states, ln = take("limits", "max_states", default=DEFAULT_MAX_STATES)
-    if not isinstance(max_states, int) or max_states < 1:
-        raise ConfigError("max_states must be a positive integer", ln)
-    max_classes, ln = take("limits", "max_classes", default=DEFAULT_MAX_CLASSES)
-    if not isinstance(max_classes, int) or max_classes < 1:
-        raise ConfigError("max_classes must be a positive integer", ln)
+    height = integer("limits", "height", min(bound), minimum=0)
+    max_states = integer("limits", "max_states", DEFAULT_MAX_STATES)
+    max_classes = integer("limits", "max_classes", DEFAULT_MAX_CLASSES)
     fmt, ln = take("output", "format", default="text")
     if fmt not in ("text", "json"):
         raise ConfigError("format must be text or json", ln)
@@ -204,32 +204,11 @@ def _to_json(data) -> str:
     return buf.getvalue()
 
 
-def _report_dict(report, digest: str) -> dict:
-    """The pinned JSON report schema of one suite."""
-    data = report.to_dict()
-    return {
-        "suite": data["suite"],
-        "config_digest": digest,
-        "checks": data["checks"],
-        "overall": data["overall"],
-    }
+def _cid_str(cid) -> str:
+    return f"{tuple(cid[0])}:{cid[1]}"
 
 
-def emit_report(report, fmt: str, digest: str) -> str:
-    if fmt == "json":
-        return _to_json(_report_dict(report, digest))
-    p, f, s = report.counts()
-    lines = [f"suite {report.suite}: {report.overall} ({p} passed, {f} failed, {s} skipped)"]
-    for c in report.checks:
-        if c.status == "fail":
-            lines.append(f"  [fail] {c.name}: {c.witness}")
-        elif c.status == "skipped":
-            lines.append(f"  [skip] {c.name}: {c.witness}")
-    return "\n".join(lines)
-
-
-def _cmd_classify(config: Config) -> tuple[int, str]:
-    table = config.table()
+def _classify(table: ClassTable, config: Config, **_) -> dict:
     rows = []
     for mu in table.degrees():
         rows.append(
@@ -239,18 +218,16 @@ def _cmd_classify(config: Config) -> tuple[int, str]:
                 "indecomposable": table.indec_count(mu),
             }
         )
-    if config.output_format == "json":
-        return 0, _to_json(
-            {"command": "classify", "config_digest": config_digest(config), "rows": rows}
-        )
-    lines = ["dim  classes  indecomposable"]
-    for r in rows:
-        lines.append(f"{tuple(r['dim'])}  {r['classes']}  {r['indecomposable']}")
-    return 0, "\n".join(lines)
+    return {"rows": rows}
 
 
-def _cmd_hall_table(config: Config) -> tuple[int, str]:
-    table = config.table()
+def _classify_text(data: dict):
+    yield "dim  classes  indecomposable"
+    for r in data["rows"]:
+        yield f"{tuple(r['dim'])}  {r['classes']}  {r['indecomposable']}"
+
+
+def _hall_table(table: ClassTable, config: Config, **_) -> dict:
     rows = []
     for mu in table.degrees():
         for g in table.classes(mu):
@@ -265,42 +242,34 @@ def _cmd_hall_table(config: Config) -> tuple[int, str]:
                             "count": n,
                         }
                     )
-    if config.output_format == "json":
-        return 0, _to_json(
-            {"command": "hall-table", "config_digest": config_digest(config), "rows": rows}
-        )
-    lines = [f"g[{r['gamma']}; {r['quotient']}, {r['sub']}] = {r['count']}" for r in rows]
-    return 0, "\n".join(lines)
+    return {"rows": rows}
 
 
-def _cid_str(cid) -> str:
-    return f"{tuple(cid[0])}:{cid[1]}"
+def _hall_table_text(data: dict):
+    for r in data["rows"]:
+        yield f"g[{r['gamma']}; {r['quotient']}, {r['sub']}] = {r['count']}"
 
 
-def _cmd_cartan(config: Config) -> tuple[int, str]:
-    table = config.table()
+def _cartan(table: ClassTable, config: Config, **_) -> dict:
     datum = gkm.datum_from_table(table)
     cartan = gkm.cartan_from_datum(datum)
-    data = {
-        "command": "cartan",
-        "config_digest": config_digest(config),
+    return {
         "matrix": [list(r) for r in cartan.entries],
         "symmetrizers": [str(e) for e in cartan.eps],
         "real": [i + 1 for i in cartan.real_indices()],
         "imaginary": [i + 1 for i in cartan.imaginary_indices()],
     }
-    if config.output_format == "json":
-        return 0, _to_json(data)
-    lines = ["cartan matrix:"]
-    for r in cartan.entries:
-        lines.append("  " + " ".join(f"{x:3d}" for x in r))
-    lines.append(f"symmetrizers: {data['symmetrizers']}")
-    lines.append(f"real: {data['real']}  imaginary: {data['imaginary']}")
-    return 0, "\n".join(lines)
 
 
-def _cmd_roots(config: Config, height: int | None) -> tuple[int, str]:
-    table = config.table()
+def _cartan_text(data: dict):
+    yield "cartan matrix:"
+    for r in data["matrix"]:
+        yield "  " + " ".join(f"{x:3d}" for x in r)
+    yield f"symmetrizers: {data['symmetrizers']}"
+    yield f"real: {data['real']}  imaginary: {data['imaginary']}"
+
+
+def _roots(table: ClassTable, config: Config, height: int | None, **_) -> dict:
     h = config.height if height is None else height
     datum = gkm.datum_from_table(table)
     cartan = gkm.cartan_from_datum(datum)
@@ -309,23 +278,16 @@ def _cmd_roots(config: Config, height: int | None) -> tuple[int, str]:
         {"vector": list(r.vector), "kind": "imaginary" if r.imaginary else "real"}
         for r in roots
     ]
-    if config.output_format == "json":
-        return 0, _to_json(
-            {
-                "command": "roots",
-                "config_digest": config_digest(config),
-                "height": h,
-                "rows": rows,
-            }
-        )
-    lines = [f"positive roots up to height {h}: {len(rows)}"]
-    for r in rows:
-        lines.append(f"  {tuple(r['vector'])}  {r['kind']}")
-    return 0, "\n".join(lines)
+    return {"height": h, "rows": rows}
 
 
-def _cmd_sv(config: Config) -> tuple[int, str]:
-    table = config.table()
+def _roots_text(data: dict):
+    yield f"positive roots up to height {data['height']}: {len(data['rows'])}"
+    for r in data["rows"]:
+        yield f"  {tuple(r['vector'])}  {r['kind']}"
+
+
+def _sv(table: ClassTable, config: Config, **_) -> dict:
     H = DoubleHall(table)
     ext = primitives.extend_datum(H)
     rows = [
@@ -337,56 +299,100 @@ def _cmd_sv(config: Config) -> tuple[int, str]:
         }
         for theta, nclasses, xi_dim, lsp in ext.records
     ]
-    data = {
-        "command": "sv",
-        "config_digest": config_digest(config),
+    return {
         "rows": rows,
         "new_indices": [[list(t), p] for t, p in ext.new_labels],
         "extended_cartan": [list(r) for r in ext.cartan.entries],
     }
-    if config.output_format == "json":
-        return 0, _to_json(data)
-    lines = ["theta  classes  decomposable  new"]
-    for r in rows:
-        lines.append(
-            f"{tuple(r['theta'])}  {r['classes']}  {r['decomposable']}  {r['new_generators']}"
+
+
+def _sv_text(data: dict):
+    yield "theta  classes  decomposable  new"
+    for r in data["rows"]:
+        yield f"{tuple(r['theta'])}  {r['classes']}  {r['decomposable']}  {r['new_generators']}"
+    yield f"new indices: {data['new_indices']}"
+
+
+def _verify(table: ClassTable, config: Config, digest: str, suite: str, **_):
+    reports = []
+    for name in list(SUITES) if suite == "all" else [suite]:
+        data = run_suite(name, table, height=config.height).to_dict()
+        # The pinned schema has the digest right after the suite name.
+        reports.append({"suite": data.pop("suite"), "config_digest": digest, **data})
+    return reports[0] if len(reports) == 1 else reports
+
+
+def _reports(data) -> list:
+    return data if isinstance(data, list) else [data]
+
+
+def _verify_text(data):
+    for r in _reports(data):
+        status = [c["status"] for c in r["checks"]]
+        yield (
+            f"suite {r['suite']}: {r['overall']} ({status.count('pass')} passed, "
+            f"{status.count('fail')} failed, {status.count('skipped')} skipped)"
         )
-    lines.append(f"new indices: {data['new_indices']}")
-    return 0, "\n".join(lines)
+        for c in r["checks"]:
+            if c["status"] != "pass":
+                tag = "fail" if c["status"] == "fail" else "skip"
+                yield f"  [{tag}] {c['name']}: {c['witness']}"
 
 
-def _cmd_verify(config: Config, suite: str) -> tuple[int, str]:
-    names = list(SUITES) if suite == "all" else [suite]
-    digest = config_digest(config)
-    table = config.table()
-    reports = [run_suite(n, table, height=config.height) for n in names]
-    if config.output_format == "json":
-        data = [_report_dict(r, digest) for r in reports]
-        out = _to_json(data[0] if len(data) == 1 else data)
-    else:
-        out = "\n".join(emit_report(r, "text", digest) for r in reports)
-    code = 0 if all(r.overall == "pass" for r in reports) else 1
-    return code, out
+def _height(raw: str) -> int:
+    if not raw.isdigit():
+        raise argparse.ArgumentTypeError(f"height must be a nonnegative integer, got {raw!r}")
+    return int(raw)
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand.  build(table, config, **options) returns the JSON
+    payload, which gets the `command` and `config_digest` header in front
+    when `header` is set; text(payload) yields its text lines and
+    exit_code(payload) gives the exit code; `arguments` are the argparse
+    arguments of the command's own options."""
+
+    build: Callable
+    text: Callable
+    arguments: tuple = ()
+    header: bool = True
+    exit_code: Callable = lambda data: 0
+
+
+_COMMANDS = {
+    "classify": _Command(_classify, _classify_text),
+    "hall-table": _Command(_hall_table, _hall_table_text),
+    "cartan": _Command(_cartan, _cartan_text),
+    "roots": _Command(_roots, _roots_text, (("--height", {"type": _height}),)),
+    "sv": _Command(_sv, _sv_text),
+    # verify keeps the header-less report schema: one report, or a list of
+    # them for suite all, each with its own config_digest.
+    "verify": _Command(
+        _verify,
+        _verify_text,
+        (("--suite", {"choices": (*SUITES, "all"), "default": "all"}),),
+        header=False,
+        exit_code=lambda data: 0 if all(r["overall"] == "pass" for r in _reports(data)) else 1,
+    ),
+}
 
 
 def run_command(cmd: str, config: Config, *, suite: str = "all", height: int | None = None) -> tuple[int, str]:
-    """Dispatch a command against a parsed config; returns (exit code, text)."""
+    """Run a command against a parsed config; returns (exit code, text)."""
+    if cmd not in _COMMANDS:
+        raise ValueError(f"unknown command {cmd!r}")
+    command = _COMMANDS[cmd]
+    digest = config_digest(config)
     try:
-        if cmd == "classify":
-            return _cmd_classify(config)
-        if cmd == "hall-table":
-            return _cmd_hall_table(config)
-        if cmd == "cartan":
-            return _cmd_cartan(config)
-        if cmd == "roots":
-            return _cmd_roots(config, height)
-        if cmd == "sv":
-            return _cmd_sv(config)
-        if cmd == "verify":
-            return _cmd_verify(config, suite)
+        data = command.build(config.table(), config, digest=digest, suite=suite, height=height)
     except LimitExceeded as exc:
         return 3, f"resource limit: {exc}"
-    raise ValueError(f"unknown command {cmd!r}")
+    if command.header:
+        data = {"command": cmd, "config_digest": digest, **data}
+    if config.output_format == "json":
+        return command.exit_code(data), _to_json(data)
+    return command.exit_code(data), "\n".join(command.text(data))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -395,18 +401,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact Hall algebra toolkit for nilpotent quiver representations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("classify", "hall-table", "cartan", "roots", "sv", "verify"):
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a config file")
         p.add_argument("--format", choices=("text", "json"), default=None)
-        if name == "roots":
-            p.add_argument("--height", type=int, default=None)
-        if name == "verify":
-            p.add_argument(
-                "--suite",
-                choices=tuple(SUITES) + ("all",),
-                default="all",
-            )
+        for flag, kwargs in command.arguments:
+            p.add_argument(flag, **kwargs)
     return parser
 
 

@@ -59,12 +59,6 @@ class BorcherdsDatum:
     def size(self) -> int:
         return len(self.labels)
 
-    def real_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.size) if self.gram[i][i] > 0)
-
-    def imaginary_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.size) if self.gram[i][i] <= 0)
-
     def pairing(self, x: Vec, y: Vec) -> int:
         out = 0
         for i, xi in enumerate(x):
@@ -191,11 +185,13 @@ class Root:
     imaginary: bool
 
 
-def _closure(c: CartanMatrix, seeds, height: int) -> set[Vec]:
+def weyl_orbit(c: CartanMatrix, seeds, height: int) -> set[Vec]:
+    """Closure of the seed vectors under simple reflections, kept inside the
+    nonnegative cone and the height bound."""
     real = c.real_indices()
     seen: set[Vec] = set()
     frontier = [
-        s for s in seeds if 0 < sum(s) <= height and all(x >= 0 for x in s)
+        tuple(s) for s in seeds if 0 < sum(s) <= height and all(x >= 0 for x in s)
     ]
     seen.update(frontier)
     while frontier:
@@ -211,12 +207,6 @@ def _closure(c: CartanMatrix, seeds, height: int) -> set[Vec]:
     return seen
 
 
-def weyl_orbit(c: CartanMatrix, seeds, height: int) -> set[Vec]:
-    """Closure of the seed vectors under simple reflections, kept inside the
-    nonnegative cone and the height bound."""
-    return _closure(c, [tuple(s) for s in seeds], height)
-
-
 def positive_roots(c: CartanMatrix, height: int) -> tuple[Root, ...]:
     """All positive roots of height at most the bound.
 
@@ -229,7 +219,7 @@ def positive_roots(c: CartanMatrix, height: int) -> tuple[Root, ...]:
     real_simples = [
         tuple(1 if k == i else 0 for k in range(n)) for i in c.real_indices()
     ]
-    reals = _closure(c, real_simples, height)
-    imags = _closure(c, sorted(fundamental_region(c, height)), height)
+    reals = weyl_orbit(c, real_simples, height)
+    imags = weyl_orbit(c, sorted(fundamental_region(c, height)), height)
     out = [Root(v, False) for v in reals] + [Root(v, True) for v in imags]
     return tuple(sorted(out))

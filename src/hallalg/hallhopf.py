@@ -125,14 +125,6 @@ class AlgElt(_Linear):
             return degs.pop()
         return None
 
-    def is_homogeneous(self, theta=None) -> bool:
-        if not self.terms:
-            return True
-        d = self.degree()
-        if d is None:
-            return False
-        return theta is None or tuple(theta) == d
-
     def _fmt_key(self, k):
         return _fmt_sym(k)
 
@@ -188,19 +180,9 @@ class DoubleHall:
 
     # ----- purity -----------------------------------------------------------
 
-    def is_pure_plus(self, x: AlgElt) -> bool:
-        return self._is_pure(x, True)
-
-    def is_pure_minus(self, x: AlgElt) -> bool:
-        return self._is_pure(x, False)
-
     def _is_pure(self, x: AlgElt, plus: bool) -> bool:
         other = 0 if plus else 2  # the BasisSym field of the opposite sign
         return all(s[other] == self.zero_cid for s in x.terms)
-
-    def _require(self, cond: bool, msg: str):
-        if not cond:
-            raise ValueError(msg)
 
     def _require_pure(self, op: str, plus: bool, *xs: AlgElt):
         if not all(self._is_pure(x, plus) for x in xs):
@@ -454,7 +436,8 @@ class DoubleHall:
 
     def psi(self, x: AlgElt, y: AlgElt) -> Scalar:
         """The symmetric pairing on the positive algebra: phi against omega."""
-        self._require(self.is_pure_plus(x) and self.is_pure_plus(y), "psi needs pure plus inputs")
+        if not (self._is_pure(x, True) and self._is_pure(y, True)):
+            raise ValueError("psi needs pure plus inputs")
         return self.phi(x, self.omega(y))
 
     # ----- the double -------------------------------------------------------

@@ -314,16 +314,12 @@ def suite_composition(table: ClassTable) -> CheckReport:
     for i in range(n):
         for mu in samples:
             pair = datum.pairing(mu, units[i])
-            rep.check(
-                f"K-E-commute[{mu};{i}]",
-                H.mult(H.torus(mu), es[i]),
-                H.mult(es[i], H.torus(mu)).scaled(H.field.v_pow(pair)),
-            )
-            rep.check(
-                f"K-F-commute[{mu};{i}]",
-                H.mult(H.torus(mu), fs[i]),
-                H.mult(fs[i], H.torus(mu)).scaled(H.field.v_pow(-pair)),
-            )
+            for side, x, sign in (("E", es[i], 1), ("F", fs[i], -1)):
+                rep.check(
+                    f"K-{side}-commute[{mu};{i}]",
+                    H.mult(H.torus(mu), x),
+                    H.mult(x, H.torus(mu)).scaled(H.field.v_pow(sign * pair)),
+                )
     for i in range(n):
         for j in range(n):
             lhs = H.mult(es[i], fs[j]) - H.mult(fs[j], es[i])
@@ -337,30 +333,23 @@ def suite_composition(table: ClassTable) -> CheckReport:
             else:
                 rhs = AlgElt()
             rep.check(f"commutator[{i};{j}]", lhs, rhs)
+    # The E and F sides of a relation, each with its sided product.
+    sides = (("E", es, H.mult_plus), ("F", fs, H.mult_minus))
     for i in cartan.real_indices():
         for j in range(n):
             if i == j:
                 continue
             m = 1 - cartan.entries[i][j]
             need = dim_add(tuple(m * u for u in units[i]), units[j])
-            if not dim_leq(need, table.bound):
-                for side in "EF":
-                    rep.skip(
-                        f"serre-{side}[{i};{j}]",
-                        f"needs classes up to dimension {need}, bound is {table.bound}",
-                    )
-                continue
             eps = int(cartan.eps[i])
-            rep.check(
-                f"serre-E[{i};{j}]",
-                _serre_sum(H, es[i], es[j], m, eps, H.mult_plus),
-                AlgElt(),
-            )
-            rep.check(
-                f"serre-F[{i};{j}]",
-                _serre_sum(H, fs[i], fs[j], m, eps, H.mult_minus),
-                AlgElt(),
-            )
+            for side, gens, mult in sides:
+                name = f"serre-{side}[{i};{j}]"
+                if dim_leq(need, table.bound):
+                    rep.check(name, _serre_sum(H, gens[i], gens[j], m, eps, mult), AlgElt())
+                else:
+                    rep.skip(
+                        name, f"needs classes up to dimension {need}, bound is {table.bound}"
+                    )
     for i in range(n):
         for j in range(n):
             if cartan.entries[i][j] != 0 or j < i:
@@ -369,16 +358,12 @@ def suite_composition(table: ClassTable) -> CheckReport:
             if not dim_leq(need, table.bound):
                 rep.skip(f"commuting[{i};{j}]", f"needs dimension {need}")
                 continue
-            rep.check(
-                f"commuting-E[{i};{j}]",
-                H.mult_plus(es[i], es[j]),
-                H.mult_plus(es[j], es[i]),
-            )
-            rep.check(
-                f"commuting-F[{i};{j}]",
-                H.mult_minus(fs[i], fs[j]),
-                H.mult_minus(fs[j], fs[i]),
-            )
+            for side, gens, mult in sides:
+                rep.check(
+                    f"commuting-{side}[{i};{j}]",
+                    mult(gens[i], gens[j]),
+                    mult(gens[j], gens[i]),
+                )
     return rep
 
 
@@ -396,16 +381,15 @@ def _serre_sum(H: DoubleHall, xi: AlgElt, xj: AlgElt, m: int, eps: int, mult) ->
     return out
 
 
-def suite_sv(table: ClassTable, bound=None) -> CheckReport:
+def suite_sv(table: ClassTable) -> CheckReport:
     """Primitive complements: dimension bookkeeping, primitivity, the
     commutator identity, membership of the supporting degrees, axioms of
     the enlarged form, projection compatibility with reflections, and the
     higher Serre relations against the new generators."""
     rep = CheckReport("sv")
     H = DoubleHall(table)
-    bound = table.bound if bound is None else tuple(bound)
     try:
-        ext = primitives.extend_datum(H, bound)
+        ext = primitives.extend_datum(H)
     except ValueError as exc:
         rep.expect("extended-datum-axioms", False, str(exc))
         return rep
@@ -434,7 +418,7 @@ def suite_sv(table: ClassTable, bound=None) -> CheckReport:
                     f"2(i,j)'/(i,i)' not integral: {2 * g[i][j]}/{g[i][i]}",
                 )
     base_cartan = gkm.cartan_from_datum(ext.base)
-    freg = gkm.fundamental_region(base_cartan, sum(bound))
+    freg = gkm.fundamental_region(base_cartan, sum(table.bound))
     imag_units = {
         i: table.quiver.unit_dim(i) for i in base_cartan.imaginary_indices()
     }
@@ -496,16 +480,15 @@ def suite_sv(table: ClassTable, bound=None) -> CheckReport:
                 rep.skip(f"serre-new[{i};{label}]", f"needs dimension {need}")
                 continue
             gen = ext.generators[label]
-            rep.check(
-                f"serre-new-E[{i};{label}]",
-                _serre_sum(H, xi, gen, m, eps, H.mult_plus),
-                AlgElt(),
-            )
-            rep.check(
-                f"serre-new-F[{i};{label}]",
-                _serre_sum(H, yi, H.omega(gen), m, eps, H.mult_minus),
-                AlgElt(),
-            )
+            for side, x, y, mult in (
+                ("E", xi, gen, H.mult_plus),
+                ("F", yi, H.omega(gen), H.mult_minus),
+            ):
+                rep.check(
+                    f"serre-new-{side}[{i};{label}]",
+                    _serre_sum(H, x, y, m, eps, mult),
+                    AlgElt(),
+                )
     for a_idx, la in enumerate(ext.new_labels):
         for lb in ext.new_labels[a_idx + 1 :]:
             ta, tb = tuple(la[0]), tuple(lb[0])
@@ -563,10 +546,10 @@ def suite_kac(table: ClassTable, height: int) -> CheckReport:
     return rep
 
 
-def suite_character(table: ClassTable, bound=None) -> CheckReport:
+def suite_character(table: ClassTable) -> CheckReport:
     """Truncated product over indecomposables against per-degree class counts."""
     rep = CheckReport("character")
-    bound = table.bound if bound is None else tuple(bound)
+    bound = table.bound
     counts = {}
     for mu in dims_below(bound):
         counts[mu] = table.indec_count(mu) if sum(mu) else 0

@@ -51,9 +51,10 @@ def cli_json():
     """run(config, args): (exit code, stdout) of `hallalg ARGS --config
     configs/CONFIG.cfg --format json`, computed once per session.
 
-    test_golden pins the bytes of `verify --suite all` on kronecker.cfg, and
-    test_acceptance reads its Kronecker q=2 hopf and pairing reports from the
-    same run instead of computing them a second time.
+    test_golden pins the bytes of `verify --suite all` on each sample config;
+    test_acceptance reads its Kronecker q=2 hopf and pairing reports, and
+    test_verify the hopf reports of all three, from the same runs instead of
+    computing them a second time.
     """
     runs = {}
 

@@ -243,3 +243,62 @@ def test_main_json_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     data = json.loads(out)
     assert data["matrix"] == [[2, -1], [-1, 2]]
+
+
+BOOL_BASE = {
+    "vertices": "2",
+    "arrows": "[[1, 2]]",
+    "q": "2",
+    "bound": "[2, 2]",
+    "height": "2",
+    "max_states": "1000",
+    "max_classes": "1000",
+}
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("vertices", "true"),
+        ("arrows", "[[true, 2]]"),
+        ("arrows", "[[1, false]]"),
+        ("q", "true"),
+        ("bound", "[true, 2]"),
+        ("height", "true"),
+        ("height", "false"),
+        ("max_states", "true"),
+        ("max_classes", "true"),
+    ],
+)
+def test_boolean_integer_is_a_config_error(tmp_path, capsys, key, value):
+    v = dict(BOOL_BASE, **{key: value})
+    cfg = tmp_path / "bool.cfg"
+    cfg.write_text(
+        f"[quiver]\nvertices = {v['vertices']}\narrows = {v['arrows']}\n"
+        f"[field]\nq = {v['q']}\n"
+        f"[limits]\nbound = {v['bound']}\nheight = {v['height']}\n"
+        f"max_states = {v['max_states']}\nmax_classes = {v['max_classes']}\n"
+    )
+    assert main(["classify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_repeated_key_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "repeat.cfg"
+    cfg.write_text("[quiver]\nvertices = 1\n[field]\nq = 2\nq = 3\n")
+    assert main(["classify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "line 5" in captured.err and "'q'" in captured.err
+
+
+def test_negative_roots_height_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "a2.cfg"
+    cfg.write_text(A2_TEXT)
+    with pytest.raises(SystemExit) as e:
+        main(["roots", "--config", str(cfg), "--height", "-3"])
+    assert e.value.code == 2
+    assert "--height" in capsys.readouterr().err
+    assert main(["roots", "--config", str(cfg), "--height", "0"]) == 0
+    assert "positive roots up to height 0: 0" in capsys.readouterr().out

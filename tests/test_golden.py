@@ -1,10 +1,15 @@
-"""Byte identity of the --format json output of every command on the sample
-configs: the sha256 of stdout, recorded before the sign-generic rewrite of
-the Hall Hopf operations."""
+"""Byte identity of the output of every command on the sample configs: the
+sha256 of stdout.  The --format json digests were recorded before the
+sign-generic rewrite of the Hall Hopf operations, the --format text digests
+before the command table replaced the per-command output code."""
 
 import hashlib
 
 import pytest
+
+from hallalg.cli import main
+
+from conftest import CONFIGS
 
 COMMANDS = {
     "classify": ["classify"],
@@ -42,3 +47,47 @@ def test_golden_output(config, command, cli_json):
     code, out = cli_json(config, COMMANDS[command])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(config, command)]
+
+
+# Text output: every command on a2 and jordan; on kronecker the commands
+# other than `verify --suite all`, a non-default roots height and two suites
+# that print [skip] lines; and a kac report with a [fail] line, from a2.cfg
+# with its height raised above the table bound.
+GOLDEN_TEXT = {
+    ("a2", "classify"): "cadff1fec3c586bcba430e5068bb039f741337f326f22f4b40bf9998ddb9526e",
+    ("a2", "hall-table"): "3a239fe8bee80f97ff10d550cb0b058e57c9ecc33e59d0b53fa6a07c5057e489",
+    ("a2", "cartan"): "e3218f0b7533f7bdde7f7b77f09d2e829c65a744d538e7a91ebbaaef4e6df63e",
+    ("a2", "roots"): "996a10daa5196179ee0945f3e6ca8f7d803eb2d755700e13feae95341fa3d31b",
+    ("a2", "sv"): "d9a3df8184ddcd4602ef96ed86994c239e9cbdfea80278a34fc2e1699b367f1b",
+    ("a2", "verify --suite all"): "2e545ee7624fb1b9211ca9ed8025403bc27951a1ef7166d5bd2d8a435f612e00",
+    ("jordan", "classify"): "c31c18593e748633298e728797b554e19c00c236b51c95010afbe54490e88ba7",
+    ("jordan", "hall-table"): "4105404982e6427401c22cbb83ed5ab013c2f295997d433d04ea8273ce0fbfbe",
+    ("jordan", "cartan"): "e25ca77c7cd4a55ddc78d82792cf388697c4729447c82bb025bf41569b728778",
+    ("jordan", "roots"): "0c37e500c1b262ea506acd08cea616c6aa0c8301921fd4d5eacde7f96f0ef41d",
+    ("jordan", "sv"): "3f45a25fdab85daf201af544b686178634443bee335c846e30ab4b753115e602",
+    ("jordan", "verify --suite all"): "fb1f75966e15a66b7b5551f35d9821ebb609bdcfab73404a7557635a64c32de7",
+    ("kronecker", "classify"): "014aa98b3df4061ed91928dba3588ca79fd1e8e5a64416322dae4d3d0b3c0753",
+    ("kronecker", "hall-table"): "4b5620ef3c639c54e7abcfb774f8df58c0226aafd7c5c6594af812173e0512a4",
+    ("kronecker", "cartan"): "9e6ffada82eb6863d6ff54af715508cd8ed928f12eff0faf751e35d350ebf3bd",
+    ("kronecker", "roots"): "413e7202121495d6a63a41df22d84c32ed1ef95037219a5b41d734009f566abc",
+    ("kronecker", "sv"): "d4575c7152a1eb3b28648ae2153a89a13da713e3ecb4ba2716bacd74d2abea5c",
+    ("kronecker", "roots --height 5"): "2d1d1a84b58788df43f6e2226de0ea2589f76cbfceaea1238976c9334e1a47b5",
+    ("kronecker", "verify --suite sv"): "913a8f72178e41021e38082ab87a743ae2912f965e6a024a4dd2968211c9953a",
+    ("kronecker", "verify --suite composition"): "d07444ce2ddd60fdae69f88a68f108c96bdb123dddfe22e5100e79dccd134bdd",
+    ("a2-height-5", "verify --suite kac"): "95e7aa8dad6c3c2a06d5dd55e3554c964ab0951c10195be93705bef58e1af0c9",
+}
+
+
+@pytest.mark.parametrize("config,command", sorted(GOLDEN_TEXT), ids=lambda v: v)
+def test_golden_text_output(config, command, tmp_path, capsys):
+    path = CONFIGS / f"{config}.cfg"
+    if config == "a2-height-5":
+        text = (CONFIGS / "a2.cfg").read_text()
+        assert "height = 2\n" in text
+        path = tmp_path / "a2-height-5.cfg"
+        path.write_text(text.replace("height = 2\n", "height = 5\n"))
+    args = command.split()
+    code = main([args[0], "--config", str(path), "--format", "text", *args[1:]])
+    assert code == (1 if config == "a2-height-5" else 0)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TEXT[(config, command)]

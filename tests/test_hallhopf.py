@@ -311,8 +311,5 @@ def test_algelt_degree_helpers(a2_q2):
     s1, s2 = t.simple_ids()
     hom = H.u_plus(s1)
     assert hom.degree() == (1, 0)
-    assert hom.is_homogeneous((1, 0))
     mixed = H.u_plus(s1) + H.u_plus(s2)
     assert mixed.degree() is None
-    assert not mixed.is_homogeneous()
-    assert AlgElt().is_homogeneous()

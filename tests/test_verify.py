@@ -1,18 +1,20 @@
+import json
+
 import pytest
 
 from hallalg import ClassTable, GroundField
+from hallalg.cli import parse_config
 from hallalg.verify import (
     CheckReport,
     run_suite,
     suite_character,
     suite_composition,
-    suite_hopf,
     suite_kac,
     suite_pairing,
     suite_sv,
 )
 
-from conftest import a2, jordan, kronecker
+from conftest import CONFIGS, a2, jordan, kronecker
 
 
 def _assert_pass(report, allow_skips=True):
@@ -37,9 +39,23 @@ def test_report_overall_logic():
     assert d["checks"][2]["witness"] == "lhs=1 rhs=2"
 
 
-def test_hopf_suites_pass(a2_q2, jordan_q2, kronecker_q2):
-    for table in (a2_q2, jordan_q2, kronecker_q2):
-        _assert_pass(suite_hopf(table), allow_skips=False)
+def test_hopf_suites_pass(a2_q2, jordan_q2, kronecker_q2, cli_json):
+    # configs/{a2,jordan,kronecker}.cfg are these three tables, so their hopf
+    # reports are read from the `verify --suite all` runs test_golden pins.
+    for name, table in (("a2", a2_q2), ("jordan", jordan_q2), ("kronecker", kronecker_q2)):
+        config = parse_config((CONFIGS / f"{name}.cfg").read_text())
+        assert (config.vertices, config.arrows, config.q, config.bound) == (
+            table.quiver.vertices,
+            table.quiver.arrows,
+            table.q,
+            table.bound,
+        )
+        _, out = cli_json(name, ["verify", "--suite", "all"])
+        report = next(r for r in json.loads(out) if r["suite"] == "hopf")
+        statuses = [c["status"] for c in report["checks"]]
+        assert report["overall"] == "pass", [c for c in report["checks"] if c["status"] == "fail"][:5]
+        assert "pass" in statuses
+        assert "skipped" not in statuses
 
 
 def test_pairing_suite_passes(a2_q2, jordan_q3):
