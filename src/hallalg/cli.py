@@ -269,16 +269,15 @@ def _cartan_text(data: dict):
     yield f"real: {data['real']}  imaginary: {data['imaginary']}"
 
 
-def _roots(table: ClassTable, config: Config, height: int | None, **_) -> dict:
-    h = config.height if height is None else height
+def _roots(table: ClassTable, config: Config, **_) -> dict:
     datum = gkm.datum_from_table(table)
     cartan = gkm.cartan_from_datum(datum)
-    roots = gkm.positive_roots(cartan, h)
+    roots = gkm.positive_roots(cartan, config.height)
     rows = [
         {"vector": list(r.vector), "kind": "imaginary" if r.imaginary else "real"}
         for r in roots
     ]
-    return {"height": h, "rows": rows}
+    return {"height": config.height, "rows": rows}
 
 
 def _roots_text(data: dict):
@@ -378,14 +377,14 @@ _COMMANDS = {
 }
 
 
-def run_command(cmd: str, config: Config, *, suite: str = "all", height: int | None = None) -> tuple[int, str]:
+def run_command(cmd: str, config: Config, *, suite: str = "all") -> tuple[int, str]:
     """Run a command against a parsed config; returns (exit code, text)."""
     if cmd not in _COMMANDS:
         raise ValueError(f"unknown command {cmd!r}")
     command = _COMMANDS[cmd]
     digest = config_digest(config)
     try:
-        data = command.build(config.table(), config, digest=digest, suite=suite, height=height)
+        data = command.build(config.table(), config, digest=digest, suite=suite)
     except LimitExceeded as exc:
         return 3, f"resource limit: {exc}"
     if command.header:
@@ -421,12 +420,9 @@ def main(argv=None) -> int:
         return 2
     if args.format:
         config = replace(config, output_format=args.format)
-    code, out = run_command(
-        args.command,
-        config,
-        suite=getattr(args, "suite", "all"),
-        height=getattr(args, "height", None),
-    )
+    if getattr(args, "height", None) is not None:
+        config = replace(config, height=args.height)
+    code, out = run_command(args.command, config, suite=getattr(args, "suite", "all"))
     print(out)
     return code
 

@@ -67,12 +67,7 @@ class _Linear:
             return NotImplemented
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            _acc(out, k, v)
         return type(self)(out)
 
     def __sub__(self, other):
@@ -84,9 +79,7 @@ class _Linear:
         return type(self)({k: -v for k, v in self.terms.items()})
 
     def scaled(self, c):
-        if isinstance(c, (int, Fraction)) and c == 0:
-            return type(self)()
-        if isinstance(c, Scalar) and c.is_zero:
+        if not c:
             return type(self)()
         return type(self)({k: v * c for k, v in self.terms.items()})
 

@@ -206,17 +206,16 @@ class ExtendedDatum:
         return tuple(out)
 
 
-def extend_datum(H: DoubleHall, bound=None) -> ExtendedDatum:
+def extend_datum(H: DoubleHall) -> ExtendedDatum:
     """Adjoin one imaginary index per primitive generator in every degree
-    up to the bound, with the pulled-back bilinear form."""
+    up to the table bound, with the pulled-back bilinear form."""
     table = H.table
-    bound = table.bound if bound is None else tuple(bound)
     base = datum_from_table(table)
     n = table.quiver.vertices
     new_labels = []
     generators: dict = {}
     records = []
-    for theta in dims_below(bound):
+    for theta in dims_below(table.bound):
         if sum(theta) < 2:
             continue
         lsp = primitive_space(H, theta)

@@ -27,7 +27,6 @@ __all__ = [
     "Rep",
     "RepClass",
     "ClassTable",
-    "enumerate_classes",
     "euler_form",
     "symmetric_euler_form",
     "hom_dim",
@@ -178,36 +177,6 @@ class Rep:
             m[self.dim[t] :, self.dim[s] :] = other.mats[k]
             mats.append(m)
         return Rep(self.quiver, self.q, dim, mats)
-
-    def is_nilpotent(self) -> bool:
-        """Whether the chain of arrow-image subspaces descends to zero.
-
-        The k-th term is spanned at each vertex by images of all paths of
-        length k; subspaces are summed exactly, so parallel arrows cannot
-        cancel each other.
-        """
-        p = self.q
-        spans = [np.eye(d, dtype=np.int64) for d in self.dim]
-        total = sum(self.dim)
-        for _ in range(total + 1):
-            if all(s.shape[0] == 0 for s in spans):
-                return True
-            pieces: list[list[np.ndarray]] = [[] for _ in range(self.quiver.vertices)]
-            for (s, t), m in zip(self.quiver.arrows, self.mats):
-                if spans[s].shape[0] and self.dim[t]:
-                    pieces[t].append((spans[s] @ m.T) % p)
-            new_spans = []
-            for i in range(self.quiver.vertices):
-                if pieces[i]:
-                    stacked = np.concatenate(pieces[i], axis=0)
-                    r, piv = modlin.rref(stacked, p)
-                    new_spans.append(r[: len(piv)])
-                else:
-                    new_spans.append(np.zeros((0, self.dim[i]), dtype=np.int64))
-            if all(n.shape[0] == s.shape[0] for n, s in zip(new_spans, spans)):
-                return False
-            spans = new_spans
-        return all(s.shape[0] == 0 for s in spans)
 
     def __repr__(self):
         return f"Rep(dim={self.dim}, q={self.q})"
@@ -857,9 +826,3 @@ class ClassTable:
             f"ClassTable({self.quiver!r}, q={self.q}, bound={self.bound})"
         )
 
-
-def enumerate_classes(quiver: Quiver, fld: GroundField, mu, *, max_states: int = DEFAULT_MAX_STATES):
-    """All isomorphism classes of nilpotent representations of dimension mu."""
-    mu = tuple(int(x) for x in mu)
-    table = ClassTable(quiver, fld, mu, max_states=max_states)
-    return table.classes(mu)

@@ -157,10 +157,6 @@ class Scalar:
     def __bool__(self):
         return bool(self.a or self.b)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self
-
     def __str__(self):
         if self.b >= 0:
             return f"{self.a}+{self.b}*v"

@@ -72,12 +72,11 @@ class CheckReport:
 
 
 def _torus_samples(table: ClassTable):
-    n = table.quiver.vertices
-    zero = (0,) * n
-    out = [zero]
-    for i in range(n):
-        out.append(tuple(1 if k == i else 0 for k in range(n)))
-        out.append(tuple(-1 if k == i else 0 for k in range(n)))
+    quiver = table.quiver
+    out = [quiver.zero_dim()]
+    for i in range(quiver.vertices):
+        unit = quiver.unit_dim(i)
+        out += [unit, tuple(-u for u in unit)]
     return out
 
 
@@ -132,16 +131,14 @@ def suite_hopf(table: ClassTable) -> CheckReport:
                 t = comult(x)
                 rep.check(f"counit-left{name}", _contract_counit(H, t, 0), x)
                 rep.check(f"counit-right{name}", _contract_counit(H, t, 1), x)
-                eps = H.counit(x)
-                want = H.one().scaled(eps)
-                got = AlgElt()
-                for (s1, s2), c in t.terms.items():
-                    got = got + mult(antipode(H.sym_elt(s1)), H.sym_elt(s2)).scaled(c)
-                rep.check(f"antipode-left{name}", got, want)
-                got = AlgElt()
-                for (s1, s2), c in t.terms.items():
-                    got = got + mult(H.sym_elt(s1), antipode(H.sym_elt(s2))).scaled(c)
-                rep.check(f"antipode-right{name}", got, want)
+                want = H.one().scaled(H.counit(x))
+                for slot, side in ((0, "left"), (1, "right")):
+                    got = AlgElt()
+                    for key, c in t.terms.items():
+                        f = [H.sym_elt(s) for s in key]
+                        f[slot] = antipode(f[slot])
+                        got = got + mult(*f).scaled(c)
+                    rep.check(f"antipode-{side}{name}", got, want)
         for a, b in _pure_pairs_within_bound(table):
             x, y = make(a), make(b)
             name = f"green{tag}{a[0]}:{a[1]}*{b[0]}:{b[1]}"
@@ -160,61 +157,52 @@ def suite_pairing(table: ClassTable) -> CheckReport:
     H = DoubleHall(table)
     samples = _torus_samples(table)
     cids = _all_cids(table)
-    zero = table.zero_id()
-
-    plus_basis = [BasisSym(zero, mu, c) for mu in samples for c in cids]
-    minus_basis = [BasisSym(c, mu, zero) for mu in samples for c in cids]
+    signs = (True, False)
     # Quadratic pair loops use a reduced torus sample per side.
     pair_samples = samples[:2]
-    plus_small = [BasisSym(zero, mu, c) for mu in pair_samples for c in cids]
-    minus_small = [BasisSym(c, mu, zero) for mu in pair_samples for c in cids]
+    basis = {p: [H._monomial(c, mu, p) for mu in samples for c in cids] for p in signs}
+    small = {p: [H._monomial(c, mu, p) for mu in pair_samples for c in cids] for p in signs}
+    comult = {True: H.comult_plus, False: H.comult_minus}
+    antipode = {True: H.antipode_plus, False: H.antipode_minus}
 
-    for s in plus_basis:
-        x = H.sym_elt(s)
-        rep.check(f"phi(a,1)=eps[{_n(s)}]", H.phi(x, H.one()), H.counit(x))
-    for s in minus_basis:
-        y = H.sym_elt(s)
-        rep.check(f"phi(1,b)=eps[{_n(s)}]", H.phi(H.one(), y), H.counit(y))
+    def pair(plus: bool, x: AlgElt, y: AlgElt):
+        """phi with x of sign plus and y of the opposite sign."""
+        return H.phi(x, y) if plus else H.phi(y, x)
 
-    # phi(a, b b') = phi(Delta a, b (x) b') on degree-matched triples.
-    for b, bp in _pure_pairs_within_bound(table):
-        prod_dim = dim_add(b[0], bp[0])
-        yb, ybp = H.u_minus(b), H.u_minus(bp)
-        prod = H.mult_minus(yb, ybp)
-        for mu in (samples[0], samples[1 % len(samples)]):
-            for a in table.classes(prod_dim):
-                x = AlgElt({BasisSym(zero, mu, a.cid): H.field.one})
-                lhs = H.phi(x, prod)
-                rhs = H.field.zero
-                for (s1, s2), c in H.comult_plus(x).terms.items():
-                    rhs = rhs + c * H.phi(H.sym_elt(s1), yb) * H.phi(
-                        H.sym_elt(s2), ybp
-                    )
-                rep.check(f"phi-mult-right[{_n2(a.cid, mu)};{_n2(b)};{_n2(bp)}]", lhs, rhs)
+    for plus in signs:
+        name = "phi(a,1)=eps" if plus else "phi(1,b)=eps"
+        for s in basis[plus]:
+            x = H.sym_elt(s)
+            rep.check(f"{name}[{_n(s)}]", pair(plus, x, H.one()), H.counit(x))
+
+    # phi(a, b b') = phi(Delta a, b (x) b') on degree-matched triples, and
     # phi(a a', b) = phi(a (x) a', Delta^op b).
-    for a, ap in _pure_pairs_within_bound(table):
-        prod_dim = dim_add(a[0], ap[0])
-        xa, xap = H.u_plus(a), H.u_plus(ap)
-        prod = H.mult_plus(xa, xap)
-        for mu in (samples[0], samples[1 % len(samples)]):
-            for b in table.classes(prod_dim):
-                y = AlgElt({BasisSym(b.cid, mu, zero): H.field.one})
-                lhs = H.phi(prod, y)
-                rhs = H.field.zero
-                for (s1, s2), c in H.comult_minus(y).terms.items():
-                    rhs = rhs + c * H.phi(xa, H.sym_elt(s2)) * H.phi(
-                        xap, H.sym_elt(s1)
-                    )
-                rep.check(f"phi-mult-left[{_n2(b.cid, mu)};{_n2(a)};{_n2(ap)}]", lhs, rhs)
+    for plus in signs:
+        other = H.u_minus if plus else H.u_plus
+        other_mult = H.mult_minus if plus else H.mult_plus
+        side = "right" if plus else "left"
+        for b, bp in _pure_pairs_within_bound(table):
+            yb, ybp = other(b), other(bp)
+            prod = other_mult(yb, ybp)
+            for mu in pair_samples:
+                for a in table.classes(dim_add(b[0], bp[0])):
+                    x = H.sym_elt(H._monomial(a.cid, mu, plus))
+                    lhs = pair(plus, x, prod)
+                    rhs = H.field.zero
+                    for k, c in comult[plus](x).terms.items():
+                        s1, s2 = k if plus else k[::-1]
+                        rhs = rhs + c * pair(plus, H.sym_elt(s1), yb) * pair(
+                            plus, H.sym_elt(s2), ybp
+                        )
+                    rep.check(f"phi-mult-{side}[{mu}{_n2(a.cid)};{_n2(b)};{_n2(bp)}]", lhs, rhs)
     # phi(S a, S b) = phi(a, b).
-    s_plus = {sa: H.antipode_plus(H.sym_elt(sa)) for sa in plus_small}
-    s_minus = {sb: H.antipode_minus(H.sym_elt(sb)) for sb in minus_small}
-    for sa in plus_small:
-        for sb in minus_small:
+    image = {p: {s: antipode[p](H.sym_elt(s)) for s in small[p]} for p in signs}
+    for sa in small[True]:
+        for sb in small[False]:
             x, y = H.sym_elt(sa), H.sym_elt(sb)
             rep.check(
                 f"phi-antipode[{_n(sa)};{_n(sb)}]",
-                H.phi(s_plus[sa], s_minus[sb]),
+                H.phi(image[True][sa], image[False][sb]),
                 H.phi(x, y),
             )
     # Symmetrized pairing: diagonal with positive entries.
@@ -237,29 +225,25 @@ def suite_pairing(table: ClassTable) -> CheckReport:
                 else:
                     rep.check(f"psi-off[{_n2(a.cid)};{_n2(b.cid)}]", val, H.field.zero)
     # Involution laws.
-    for s in plus_basis + minus_basis:
-        x = H.sym_elt(s)
-        pure_plus = s.minus == zero
-        comult = H.comult_plus if pure_plus else H.comult_minus
-        other = H.comult_minus if pure_plus else H.comult_plus
-        lhs = other(H.omega(x))
-        rhs = H.tensor_apply(H.tensor_swap(comult(x)), [H.omega, H.omega])
-        rep.check(f"omega-coalgebra[{_n(s)}]", lhs, rhs)
-    for sa in plus_small:
-        for sb in minus_small:
+    for plus in signs:
+        for s in basis[plus]:
+            x = H.sym_elt(s)
+            lhs = comult[not plus](H.omega(x))
+            rhs = H.tensor_apply(H.tensor_swap(comult[plus](x)), [H.omega, H.omega])
+            rep.check(f"omega-coalgebra[{_n(s)}]", lhs, rhs)
+    for sa in small[True]:
+        for sb in small[False]:
             x, y = H.sym_elt(sa), H.sym_elt(sb)
             rep.check(
                 f"omega-pairing[{_n(sa)};{_n(sb)}]",
                 H.phi(x, y),
                 H.phi(H.omega(y), H.omega(x)),
             )
-    for s in plus_basis + minus_basis:
-        x = H.sym_elt(s)
-        pure_plus = s.minus == zero
-        s1 = H.antipode_minus(H.omega(x)) if pure_plus else H.antipode_plus(H.omega(x))
-        s2 = H.omega(s1)
-        s3 = H.antipode_plus(s2) if pure_plus else H.antipode_minus(s2)
-        rep.check(f"omega-antipode[{_n(s)}]", s3, x)
+    for plus in signs:
+        for s in basis[plus]:
+            x = H.sym_elt(s)
+            y = antipode[plus](H.omega(antipode[not plus](H.omega(x))))
+            rep.check(f"omega-antipode[{_n(s)}]", y, x)
     return rep
 
 
@@ -267,10 +251,8 @@ def _n(s: BasisSym) -> str:
     return f"{s.minus[0]}:{s.minus[1]}|{s.torus}|{s.plus[0]}:{s.plus[1]}"
 
 
-def _n2(cid, mu=None) -> str:
-    if mu is None:
-        return f"{cid[0]}:{cid[1]}"
-    return f"{mu}{cid[0]}:{cid[1]}"
+def _n2(cid) -> str:
+    return f"{cid[0]}:{cid[1]}"
 
 
 def _generator_constants(table: ClassTable, H: DoubleHall):
@@ -512,8 +494,9 @@ def suite_kac(table: ClassTable, height: int) -> CheckReport:
     uniqueness of the indecomposable over each real root."""
     rep = CheckReport("kac")
     n = table.quiver.vertices
-    for mu in dims_below((height,) * n):
-        if 0 < sum(mu) <= height and not dim_leq(mu, table.bound):
+    up_to_height = [mu for mu in dims_below((height,) * n) if 0 < sum(mu) <= height]
+    for mu in up_to_height:
+        if not dim_leq(mu, table.bound):
             rep.expect(
                 "table-covers-height",
                 False,
@@ -530,10 +513,7 @@ def suite_kac(table: ClassTable, height: int) -> CheckReport:
             seeds.append(tuple(s * u for u in unit))
     orbit = gkm.weyl_orbit(cartan, seeds, height)
     root_side = {r.vector for r in roots} | orbit
-    indec_side = set()
-    for mu in dims_below((height,) * n):
-        if 0 < sum(mu) <= height and table.indec_count(mu) > 0:
-            indec_side.add(mu)
+    indec_side = {mu for mu in up_to_height if table.indec_count(mu) > 0}
     rep.check(
         "dimension-vectors-match",
         tuple(sorted(indec_side)),

@@ -122,7 +122,7 @@ def test_criterion_4_commutators(name, q):
             )
             ok = ok and lhs == rhs
     # generalization to every computed pair of primitive generators
-    ext = extend_datum(H, t.bound)
+    ext = extend_datum(H)
     for theta, _, _, lsp in ext.records:
         kt = H.torus(theta)
         kn = H.torus(tuple(-x for x in theta))

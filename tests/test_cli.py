@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -134,11 +135,21 @@ def test_classify_json_schema():
 
 def test_roots_command():
     config = parse_config(KRONECKER_TEXT)
-    code, out = run_command("roots", config, height=5)
+    code, out = run_command("roots", replace(config, height=5))
     assert code == 0
     assert out.count("real") == 6
     assert out.count("imaginary") == 2
     assert "positive roots up to height 5: 8" in out
+
+
+def test_roots_height_option_enters_the_config(tmp_path, capsys):
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text(KRONECKER_TEXT)
+    assert main(["roots", "--config", str(cfg), "--height", "5", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    ran = replace(parse_config(KRONECKER_TEXT), height=5, output_format="json")
+    assert data["height"] == 5
+    assert data["config_digest"] == config_digest(ran)
 
 
 def test_cartan_command():

@@ -4,6 +4,9 @@ sign-generic rewrite of the Hall Hopf operations, the --format text digests
 before the command table replaced the per-command output code."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -47,6 +50,22 @@ def test_golden_output(config, command, cli_json):
     code, out = cli_json(config, COMMANDS[command])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(config, command)]
+
+
+def test_json_bytes_do_not_depend_on_the_hash_seed():
+    """`verify --suite all` on a2.cfg, run in two processes with different
+    PYTHONHASHSEED values, prints the same bytes, and they are the golden ones."""
+    argv = [*COMMANDS["verify"], "--config", str(CONFIGS / "a2.cfg"), "--format", "json"]
+    script = "import sys; from hallalg.cli import main; sys.exit(main(sys.argv[1:]))"
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(CONFIGS.parent / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, check=True
+        )
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == GOLDEN[("a2", "verify")]
 
 
 # Text output: every command on a2 and jordan; on kronecker the commands

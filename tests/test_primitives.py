@@ -101,7 +101,7 @@ def test_rank_nullity_everywhere(kronecker_q2):
 
 def test_extend_datum_jordan():
     t = ClassTable(jordan(), GroundField(2), (3,))
-    ext = extend_datum(_H(t), (3,))
+    ext = extend_datum(_H(t))
     assert ext.new_labels == (((2,), 1), ((3,), 1))
     assert all(
         ext.datum.gram[i][j] == 0
@@ -111,12 +111,12 @@ def test_extend_datum_jordan():
 
 
 def test_extend_datum_a2(a2_q2):
-    ext = extend_datum(_H(a2_q2), (2, 2))
+    ext = extend_datum(_H(a2_q2))
     assert ext.new_labels == ()
 
 
-def test_extend_datum_kronecker(kronecker_q2):
-    ext = extend_datum(_H(kronecker_q2), (1, 1))
+def test_extend_datum_kronecker():
+    ext = extend_datum(_H(ClassTable(kronecker(), GroundField(2), (1, 1))))
     assert ext.new_labels == (((1, 1), 1), ((1, 1), 2))
     for label in ext.new_labels:
         k = ext.datum.labels.index(label)
@@ -125,8 +125,8 @@ def test_extend_datum_kronecker(kronecker_q2):
     assert set(ext.cartan.real_indices()) <= {0, 1}
 
 
-def test_projection(kronecker_q2):
-    ext = extend_datum(_H(kronecker_q2), (1, 1))
+def test_projection():
+    ext = extend_datum(_H(ClassTable(kronecker(), GroundField(2), (1, 1))))
     assert ext.project(0) == (1, 0)
     assert ext.project(((1, 1), 2)) == (1, 1)
     vec = [1, 0, 2, 0]

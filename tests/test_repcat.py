@@ -17,7 +17,7 @@ from hallalg import (
     symmetric_euler_form,
 )
 from hallalg import repcat
-from hallalg.repcat import _KeyCodec, aut_count, enumerate_classes, is_indecomposable
+from hallalg.repcat import _KeyCodec, aut_count, is_indecomposable
 from hallalg.modlin import gl_order
 
 from conftest import a2, jordan, kronecker
@@ -226,26 +226,14 @@ def test_euler_form_examples():
     assert symmetric_euler_form(kronecker(), (1, 0), (0, 1)) == -2
 
 
-def test_nilpotency():
-    jq = jordan()
-    assert Rep(jq, 2, (2,), [np.array([[0, 1], [0, 0]])]).is_nilpotent()
-    assert not Rep(jq, 2, (1,), [np.array([[1]])]).is_nilpotent()
-    # Two parallel loops acting by 1 cancel in the total endomorphism at
-    # q = 2 but the representation is still not nilpotent.
-    two_loops = Quiver(1, [(0, 0), (0, 0)])
-    r = Rep(two_loops, 2, (1,), [np.array([[1]]), np.array([[1]])])
-    assert not r.is_nilpotent()
-    assert Rep(two_loops, 2, (1,), [np.array([[0]]), np.array([[0]])]).is_nilpotent()
-
-
 # ----- enumeration ----------------------------------------------------------
 
 
 def test_enumeration_examples():
-    assert len(enumerate_classes(jordan(), GroundField(2), (2,))) == 2
-    assert len(enumerate_classes(kronecker(), GroundField(2), (1, 1))) == 4
-    assert len(enumerate_classes(kronecker(), GroundField(3), (1, 1))) == 5
-    assert len(enumerate_classes(a2(), GroundField(2), (0, 0))) == 1
+    assert ClassTable(jordan(), GroundField(2), (2,)).class_count((2,)) == 2
+    assert ClassTable(kronecker(), GroundField(2), (1, 1)).class_count((1, 1)) == 4
+    assert ClassTable(kronecker(), GroundField(3), (1, 1)).class_count((1, 1)) == 5
+    assert ClassTable(a2(), GroundField(2), (0, 0)).class_count((0, 0)) == 1
 
 
 def test_jordan_class_counts_are_partition_numbers():
@@ -260,7 +248,7 @@ def test_jordan_class_counts_are_partition_numbers():
 
 def test_two_loop_quiver_single_simple():
     two_loops = Quiver(1, [(0, 0), (0, 0)])
-    assert len(enumerate_classes(two_loops, GroundField(2), (1,))) == 1
+    assert ClassTable(two_loops, GroundField(2), (1,)).class_count((1,)) == 1
 
 
 def test_quiver_without_arrows_has_one_class_per_degree():
