@@ -303,13 +303,14 @@ class RepClass:
 class _KeyCodec:
     """Order-preserving packing of states into fixed-width keys.
 
-    A state is the row of its n matrix entries in Rep.key() order.  Each entry
-    takes `bits` bits, big-endian, so keys compare exactly as the rows do
+    A state is its n matrix entries in Rep.key() order.  Each entry takes
+    `bits` bits, big-endian, so keys compare exactly as the entry tuples do
     lexicographically.  Keys of at most _NATIVE_KEY_BITS bits are the
     narrowest unsigned integer dtype that holds n * bits bits (uint32 for the
     25 bits of a 5x5 matrix over F_2); longer keys are the big-endian bytes
     of the same integer as a void dtype, which numpy sorts and compares
-    bytewise.  Only this class knows which.
+    bytewise.  Only this class knows which.  Blocks of states are
+    digit-major: an (n, rows) uint8 array with one row per matrix entry.
     """
 
     def __init__(self, q: int, n: int):
@@ -321,33 +322,37 @@ class _KeyCodec:
         if self.native:
             self.dtype = np.min_scalar_type((1 << (n * self.bits)) - 1)
             self.shifts = np.arange(n - 1, -1, -1, dtype=self.dtype) * self.dtype.type(self.bits)
-            self.weights = self.dtype.type(1) << self.shifts
         else:
             self.dtype = np.dtype(f"V{self.nbytes}")
 
-    def pack_rows(self, digits: np.ndarray) -> np.ndarray:
-        """Keys of a (rows, n) uint8 array of states."""
-        rows = digits.shape[0]
+    def pack(self, digits: np.ndarray) -> np.ndarray:
+        """Keys of an (n, rows) uint8 block of states."""
+        rows = digits.shape[1]
         if self.native:
-            return digits @ self.weights
-        bits = np.unpackbits(digits[:, :, None], axis=2)[:, :, 8 - self.bits :]
+            # Horner over the entries, most significant first.
+            keys = np.zeros(rows, dtype=self.dtype)
+            for row in digits:
+                keys <<= self.bits
+                keys |= row
+            return keys
+        bits = np.unpackbits(digits.T[:, :, None], axis=2)[:, :, 8 - self.bits :]
         bits = np.concatenate(
             [np.zeros((rows, self.pad), dtype=np.uint8), bits.reshape(rows, -1)], axis=1
         )
         return np.packbits(bits, axis=1).view(self.dtype).reshape(rows)
 
-    def unpack_rows(self, keys: np.ndarray) -> np.ndarray:
-        """The (rows, n) uint8 states of an array of keys."""
+    def unpack(self, keys: np.ndarray) -> np.ndarray:
+        """The (n, rows) uint8 block of states of an array of keys."""
         rows = keys.shape[0]
         if self.native:
             mask = self.dtype.type((1 << self.bits) - 1)
-            return ((keys[:, None] >> self.shifts) & mask).astype(np.uint8)
+            return ((keys >> self.shifts[:, None]) & mask).astype(np.uint8)
         bits = np.unpackbits(keys.view(np.uint8).reshape(rows, self.nbytes), axis=1)
         full = np.zeros((rows, self.n, 8), dtype=np.uint8)
         full[:, :, 8 - self.bits :] = bits[:, self.pad :].reshape(rows, self.n, self.bits)
-        return np.packbits(full, axis=2).reshape(rows, self.n)
+        return np.packbits(full, axis=2).reshape(rows, self.n).T
 
-    def pack(self, mats) -> np.generic:
+    def key(self, mats) -> np.generic:
         """The key of one representation's matrices, without array temporaries."""
         k = 0
         for m in mats:
@@ -376,12 +381,6 @@ def _unique(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-def _product_rows(q: int, width: int) -> np.ndarray:
-    """All rows of itertools.product(range(q), repeat=width), as uint8."""
-    rows = list(itertools.product(range(q), repeat=width))
-    return np.array(rows, dtype=np.uint8).reshape(len(rows), width)
-
-
 @dataclass
 class _MuData:
     """The classes of one dimension vector and every state of its variety.
@@ -397,7 +396,7 @@ class _MuData:
     labels: np.ndarray
 
     def label(self, mats) -> int | None:
-        k = self.codec.pack(mats)
+        k = self.codec.key(mats)
         i = int(self.keys.searchsorted(k))
         if i == self.keys.size or self.keys[i] != k:
             return None
@@ -507,14 +506,16 @@ class ClassTable:
             off += nt * ns
         return mats
 
-    def _state_maps(self, mu: DimVec) -> tuple[np.ndarray, np.ndarray]:
+    def _state_maps(self, mu: DimVec) -> tuple[int, list]:
         """The base-change generators and their inverses as sparse maps on states.
 
-        Returns (src, coef) of shape (terms, maps, n): entry j of the image
-        of a state row under map m is sum_t coef[t, m, j] * row[src[t, m, j]]
-        mod q, with zero coefficients padding maps of fewer terms.  With the
-        inverses included the orbit graph is undirected.  Duplicate maps are
-        dropped.
+        Returns (nmaps, terms).  The images of a digit-major block of states
+        under all maps are a block of n * nmaps rows, row j * nmaps + m being
+        entry j of the images under map m.  That row is the sum over the
+        terms (dst, src, coef) of coef[i] * digits[src[i]] mod q, where dst[i]
+        is the row; term 0 covers every row (its dst is None), later terms
+        only the rows with more nonzero coefficients.  With the inverses
+        included the orbit graph is undirected.  Duplicate maps are dropped.
         """
         p = self.q
         shapes = self._shapes(mu)
@@ -541,19 +542,19 @@ class ClassTable:
                 # Row j holds the coefficients of entry j of the image.
                 linear = np.concatenate(images, axis=1).T
                 linears.setdefault(linear.tobytes(), linear)
-        terms = max(
-            (int((m != 0).sum(axis=1).max(initial=0)) for m in linears.values()), default=0
-        )
-        peak = terms * (p - 1) ** 2
+        # Entry j of map m, in image row order; an invertible map has no zero row.
+        entries = [linear[j] for j in range(n) for linear in linears.values()]
+        cols = [np.flatnonzero(e) for e in entries]
+        width = max((c.size for c in cols), default=0)
+        peak = width * (p - 1) ** 2
         dtype = np.uint8 if peak < 2**8 else np.uint16 if peak < 2**16 else np.uint32
-        src = np.zeros((terms, len(linears), n), dtype=np.intp)
-        coef = np.zeros((terms, len(linears), n), dtype=dtype)
-        for k, linear in enumerate(linears.values()):
-            for j in range(n):
-                cols = np.flatnonzero(linear[j])
-                src[: cols.size, k, j] = cols
-                coef[: cols.size, k, j] = linear[j, cols]
-        return src, coef
+        terms = []
+        for t in range(width):
+            dst = [r for r, c in enumerate(cols) if c.size > t]
+            src = np.array([cols[r][t] for r in dst], dtype=np.intp)
+            coef = np.array([entries[r][cols[r][t]] for r in dst], dtype=dtype)[:, None]
+            terms.append((np.array(dst, dtype=np.intp) if t else None, src, coef))
+        return len(linears), terms
 
     def _orbit(self, mu: DimVec, codec: _KeyCodec, maps, seed: np.ndarray, closed: int):
         """The sorted keys of the orbit of the one-key array seed.
@@ -562,11 +563,11 @@ class ClassTable:
         its inverse, a new state can only repeat one of the previous or the
         current level.  closed counts the states of earlier orbits of mu.
         """
-        src, coef = maps
-        terms, nmaps, _ = src.shape
+        nmaps, terms = maps
         if not terms:  # no generators, or no matrix entries: one state
             return seed
         step = max(1, _CHUNK // nmaps)
+        (_, first_src, first_coef), *later = terms
         prev = seed[:0]
         cur = seed
         levels = [seed]
@@ -574,14 +575,17 @@ class ClassTable:
         while cur.size:
             nxt = seed[:0]
             for start in range(0, cur.size, step):
-                rows = codec.unpack_rows(cur[start : start + step])
-                images = rows[:, src[0]] * coef[0]
-                for t in range(1, terms):
-                    images += rows[:, src[t]] * coef[t]
-                images %= self.q
+                digits = codec.unpack(cur[start : start + step])
+                images = digits[first_src] * first_coef
+                for dst, src, coef in later:
+                    images[dst] += digits[src] * coef
+                # numpy divides by a scalar far faster than it takes remainders.
+                images -= images // self.q * self.q
                 images = images.astype(np.uint8, copy=False)
-                new = _unique(codec.pack_rows(images.reshape(rows.shape[0] * nmaps, codec.n)))
-                new = new[~(_member(prev, new) | _member(cur, new) | _member(nxt, new))]
+                new = _unique(codec.pack(images.reshape(codec.n, -1)))
+                # Each search takes only the survivors of the one before.
+                for known in (cur, prev, nxt):
+                    new = new[~_member(known, new)]
                 if closed + size + nxt.size + new.size > self.max_states:
                     raise LimitExceeded(
                         f"orbit states at dimension {mu} exceed max_states={self.max_states}"
@@ -597,7 +601,7 @@ class ClassTable:
         return orbit
 
     def _candidates(self, mu: DimVec):
-        """Blocks of state rows covering every class of dimension mu.
+        """Digit-major blocks of states covering every class of dimension mu.
 
         Every nilpotent representation is an extension of a vertex simple
         (a top composition factor) by a smaller class, so extending each
@@ -627,12 +631,13 @@ class ClassTable:
                 while low < len(free) and q ** (low + 1) <= _CHUNK:
                     low += 1
                 high, low_cols = free[: len(free) - low], free[len(free) - low :]
-                grid = _product_rows(q, low)
+                # Column c of grid is tuple c of itertools.product(range(q), repeat=low).
+                grid = np.indices((q,) * low, dtype=np.uint8).reshape(low, q**low)
                 for vals in itertools.product(range(q), repeat=len(high)):
-                    rows = np.tile(base, (grid.shape[0], 1))
-                    rows[:, high] = vals
-                    rows[:, low_cols] = grid
-                    yield rows
+                    base[high] = vals
+                    digits = np.repeat(base[:, None], grid.shape[1], axis=1)
+                    digits[low_cols] = grid
+                    yield digits
 
     def _ensure(self, mu: DimVec):
         if mu in self._mu:
@@ -642,15 +647,15 @@ class ClassTable:
         if mu == zero:
             rep = Rep.zero(self.quiver, self.q, mu)
             cls = RepClass((mu, 0), rep, 1, 1, False)
-            keys = codec.pack_rows(np.zeros((1, codec.n), dtype=np.uint8))
+            keys = codec.pack(np.zeros((codec.n, 1), dtype=np.uint8))
             self._mu[mu] = _MuData((cls,), codec, keys, np.zeros(1, dtype=np.uint8))
             self._nclasses += 1
             return
         maps = self._state_maps(mu)
         orbits: list[np.ndarray] = []
         nstates = 0
-        for rows in self._candidates(mu):
-            cand = codec.pack_rows(rows)
+        for digits in self._candidates(mu):
+            cand = codec.pack(digits)
             seen = np.zeros(cand.size, dtype=bool)
             for orbit in orbits:
                 seen |= _member(orbit, cand)
@@ -677,7 +682,7 @@ class ClassTable:
         for d in mu:
             group_order *= modlin.gl_order(d, self.q)
         classes = []
-        for new, (row, size) in enumerate(zip(codec.unpack_rows(mins[order]), sizes)):
+        for new, (row, size) in enumerate(zip(codec.unpack(mins[order]).T, sizes)):
             assert group_order % size == 0
             rep = Rep(self.quiver, self.q, mu, self._mats_from_row(row, mu))
             classes.append(

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallalg.cli import (
     Config,
@@ -313,3 +319,32 @@ def test_negative_roots_height_is_a_usage_error(tmp_path, capsys):
     assert "--height" in capsys.readouterr().err
     assert main(["roots", "--config", str(cfg), "--height", "0"]) == 0
     assert "positive roots up to height 0: 0" in capsys.readouterr().out
+
+
+@st.composite
+def _small_configs(draw):
+    vertices = draw(st.integers(1, 2))
+    vertex = st.integers(1, vertices)
+    arrows = draw(st.lists(st.lists(vertex, min_size=2, max_size=2), max_size=3))
+    q = draw(st.sampled_from([2, 3]))
+    bound = draw(st.lists(st.integers(1, 2), min_size=vertices, max_size=vertices))
+    return (
+        f"[quiver]\nvertices = {vertices}\narrows = {json.dumps(arrows)}\n"
+        f"[field]\nq = {q}\n[limits]\nbound = {json.dumps(bound)}\n"
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_configs())
+def test_random_small_configs_exit_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "random.cfg"
+        cfg.write_text(text)
+        for command in ("classify", "hall-table"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(cfg), "--format", "json"])
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            if code == 0:
+                json.loads(out.getvalue())

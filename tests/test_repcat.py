@@ -338,6 +338,15 @@ def test_limits():
         ClassTable(jordan(), GroundField(2), (3,), max_classes=2).classes((3,))
 
 
+def test_max_states_bound_is_exact():
+    # Jordan q=2 (4) has 2^12 = 4096 states: the limit admits exactly that many.
+    t = ClassTable(jordan(), GroundField(2), (4,), max_states=4096)
+    assert sum(c.orbit_size for c in t.classes((4,))) == 4096
+    with pytest.raises(LimitExceeded) as exc:
+        ClassTable(jordan(), GroundField(2), (4,), max_states=4095).classes((4,))
+    assert "(4,)" in str(exc.value)
+
+
 def test_state_counts_match_closed_forms():
     # Fine-Herstein: there are q^(n^2 - n) nilpotent n x n matrices over F_q.
     # Every representation of an acyclic quiver is nilpotent.
@@ -420,14 +429,15 @@ def test_key_packing_preserves_order_and_round_trips(case):
     if codec.native:
         # The narrowest unsigned integer dtype that holds the key.
         assert codec.dtype == np.dtype(f"u{next(b for b in (1, 2, 4, 8) if 8 * b >= bits)}")
-    digits = np.array(rows, dtype=np.uint8).reshape(len(rows), n)
-    keys = codec.pack_rows(digits)
+    # Digit-major: one row per matrix entry, one column per state.
+    digits = np.array(rows, dtype=np.uint8).reshape(len(rows), n).T
+    keys = codec.pack(digits)
     assert keys.dtype == codec.dtype
-    assert np.array_equal(codec.unpack_rows(keys), digits)
-    in_key_order = digits[np.argsort(keys, kind="stable")]
-    assert [tuple(r) for r in in_key_order.tolist()] == sorted(map(tuple, rows))
+    assert np.array_equal(codec.unpack(keys), digits)
+    in_key_order = digits[:, np.argsort(keys, kind="stable")]
+    assert [tuple(r) for r in in_key_order.T.tolist()] == sorted(map(tuple, rows))
     for row, key in zip(rows, keys):
-        assert codec.pack([np.array(row, dtype=np.int64).reshape(1, n)]) == key
+        assert codec.key([np.array(row, dtype=np.int64).reshape(1, n)]) == key
 
 
 @pytest.mark.parametrize("q,bound", [(3, (2, 2)), (17, (1, 1))])
@@ -443,6 +453,8 @@ def test_void_keys_give_the_same_table(monkeypatch, q, bound):
             (c.cid, c.rep.key(), c.aut, c.orbit_size, c.indecomposable) for c in b
         ]
     assert wide._mu[bound].keys.dtype.kind == "V"
+    for mu in native.degrees():
+        assert np.array_equal(native._mu[mu].labels, wide._mu[mu].labels)
     for c in native.classes(bound):
         assert native.hall_distribution(c.cid, (1, 1)) == wide.hall_distribution(c.cid, (1, 1))
 
