@@ -513,8 +513,8 @@ class ClassTable:
         under all maps are a block of n * nmaps rows, row j * nmaps + m being
         entry j of the images under map m.  That row is the sum over the
         terms (dst, src, coef) of coef[i] * digits[src[i]] mod q, where dst[i]
-        is the row; term 0 covers every row (its dst is None), later terms
-        only the rows with more nonzero coefficients.  With the inverses
+        is the row; term 0 covers every row in order, later terms only the
+        rows with more nonzero coefficients.  With the inverses
         included the orbit graph is undirected.  Duplicate maps are dropped.
         """
         p = self.q
@@ -553,7 +553,7 @@ class ClassTable:
             dst = [r for r, c in enumerate(cols) if c.size > t]
             src = np.array([cols[r][t] for r in dst], dtype=np.intp)
             coef = np.array([entries[r][cols[r][t]] for r in dst], dtype=dtype)[:, None]
-            terms.append((np.array(dst, dtype=np.intp) if t else None, src, coef))
+            terms.append((np.array(dst, dtype=np.intp), src, coef))
         return len(linears), terms
 
     def _orbit(self, mu: DimVec, codec: _KeyCodec, maps, seed: np.ndarray, closed: int):
