@@ -92,10 +92,6 @@ class _Linear:
     def __bool__(self):
         return bool(self.terms)
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
     def items(self):
         return sorted(self.terms.items())
 

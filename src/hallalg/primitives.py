@@ -157,7 +157,7 @@ def _check_degree(H: DoubleHall, theta: DimVec):
 
 def is_primitive(H: DoubleHall, x: AlgElt, theta=None) -> bool:
     """Whether the comultiplication of x is exactly x (x) 1 + K_theta (x) x."""
-    if x.is_zero:
+    if not x:
         return True
     deg = x.degree()
     if deg is None or (theta is not None and tuple(theta) != deg):
@@ -226,14 +226,9 @@ def extend_datum(H: DoubleHall) -> ExtendedDatum:
             new_labels.append(label)
             generators[label] = gen
     labels = tuple(range(n)) + tuple(new_labels)
-    units = [table.quiver.unit_dim(i) for i in range(n)]
-
-    def proj(label):
-        return units[label] if isinstance(label, int) else tuple(label[0])
-
-    gram = tuple(
-        tuple(table.sym(proj(a), proj(b)) for b in labels) for a in labels
-    )
+    # The degree of each label, as ExtendedDatum.project gives it.
+    degrees = [table.quiver.unit_dim(i) for i in range(n)] + [t for t, _ in new_labels]
+    gram = tuple(tuple(table.sym(a, b) for b in degrees) for a in degrees)
     datum = BorcherdsDatum(labels, gram)
     return ExtendedDatum(
         base=base,

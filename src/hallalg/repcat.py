@@ -3,12 +3,14 @@
 Isomorphism classes are materialized per dimension vector by closing
 candidate representations under the base-change group with a breadth-first
 orbit search; the canonical representative of a class is the
-lexicographically least representation in its orbit under the fixed
-flattening (arrow matrices in arrow-list order, each row-major).  Every
-state of the variety is kept as one order-preserving packed key with its
-class label, in two parallel sorted arrays per dimension vector.
-Automorphism counts come from the orbit-stabilizer identity, Hall numbers
-from direct subrepresentation enumeration.
+lexicographically least representation in its orbit under the one
+flattening of a representation into digit rows (arrow matrices in
+arrow-list order, each row-major).  Every state of the variety is kept as
+one order-preserving packed key with its class label, in two parallel
+sorted arrays per dimension vector, and a block of states is classified by
+one batch lookup.  Automorphism counts come from the orbit-stabilizer
+identity, Hall numbers from direct subrepresentation enumeration with one
+change of basis per subspace.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ ClassId = tuple[DimVec, int]
 
 DEFAULT_MAX_STATES = 10**7
 DEFAULT_MAX_CLASSES = 10**6
-# Rep.key() and the digit rows of orbit states hold one matrix entry per byte.
+# Digit rows hold one matrix entry per byte.
 MAX_FIELD_SIZE = 251
 # Packed keys up to this many bits are native unsigned integers, longer ones void bytes.
 _NATIVE_KEY_BITS = 64
@@ -159,12 +161,6 @@ class Rep:
     @classmethod
     def simple(cls, quiver: Quiver, q: int, i: int) -> "Rep":
         return cls.zero(quiver, q, quiver.unit_dim(i))
-
-    def key(self) -> bytes:
-        if not self.mats:
-            return b""
-        flat = np.concatenate([m.reshape(-1) for m in self.mats])
-        return flat.astype(np.uint8).tobytes()
 
     def direct_sum(self, other: "Rep") -> "Rep":
         if other.quiver != self.quiver or other.q != self.q:
@@ -303,7 +299,7 @@ class RepClass:
 class _KeyCodec:
     """Order-preserving packing of states into fixed-width keys.
 
-    A state is its n matrix entries in Rep.key() order.  Each entry takes
+    A state is its n matrix entries in _digits order.  Each entry takes
     `bits` bits, big-endian, so keys compare exactly as the entry tuples do
     lexicographically.  Keys of at most _NATIVE_KEY_BITS bits are the
     narrowest unsigned integer dtype that holds n * bits bits (uint32 for the
@@ -352,25 +348,26 @@ class _KeyCodec:
         full[:, :, 8 - self.bits :] = bits[:, self.pad :].reshape(rows, self.n, self.bits)
         return np.packbits(full, axis=2).reshape(rows, self.n).T
 
-    def key(self, mats) -> np.generic:
-        """The key of one representation's matrices, without array temporaries."""
-        k = 0
-        for m in mats:
-            for row in m.tolist():
-                for x in row:
-                    k = (k << self.bits) | x
-        if self.native:
-            return self.dtype.type(k)
-        return np.void(k.to_bytes(self.nbytes, "big"))
+
+def _digits(reps) -> np.ndarray:
+    """The (n, len(reps)) uint8 block of representations of one dimension
+    vector, each given by its matrices in arrow order.  Column r is the
+    flattening of reps[r]: its matrices in arrow order, each row-major.
+    """
+    rows = len(reps)
+    # The empty first block keeps the shape when the quiver has no arrows.
+    blocks = [np.zeros((rows, 0), dtype=np.uint8)]
+    blocks += [np.reshape(m, (rows, -1)) for m in zip(*reps)]
+    return np.concatenate(blocks, axis=1).T.astype(np.uint8)
 
 
-def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Which of keys occur in the sorted array sorted_keys."""
+def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where keys would sit in the sorted array sorted_keys, and which occur there."""
     if not sorted_keys.size:
-        return np.zeros(keys.shape, dtype=bool)
+        return np.zeros(keys.shape, dtype=np.intp), np.zeros(keys.shape, dtype=bool)
     idx = sorted_keys.searchsorted(keys)
     np.minimum(idx, sorted_keys.size - 1, out=idx)
-    return sorted_keys[idx] == keys
+    return idx, sorted_keys[idx] == keys
 
 
 def _unique(keys: np.ndarray) -> np.ndarray:
@@ -395,20 +392,20 @@ class _MuData:
     keys: np.ndarray
     labels: np.ndarray
 
-    def label(self, mats) -> int | None:
-        k = self.codec.key(mats)
-        i = int(self.keys.searchsorted(k))
-        if i == self.keys.size or self.keys[i] != k:
-            return None
-        return int(self.labels[i])
+    def lookup(self, digits: np.ndarray) -> list[int]:
+        """The class labels of an (n, rows) uint8 block of states."""
+        idx, found = _find(self.keys, self.codec.pack(digits))
+        if not found.all():
+            raise ValueError("representation is not nilpotent or not in the table")
+        return self.labels[idx].tolist()
 
 
 class ClassTable:
     """All isomorphism classes with dimension vector inside a componentwise bound.
 
     Classes are enumerated lazily per dimension vector and cached together
-    with the class label of every state of the variety, so classifying an
-    arbitrary representation inside the bound is a binary search.  Identical
+    with the class label of every state of the variety, so classifying a
+    block of representations inside the bound is one batch lookup.  Identical
     inputs give identical class ids and orderings.
     """
 
@@ -437,6 +434,7 @@ class ClassTable:
         self._hall_dist: dict = {}
         self._hall_multi: dict = {}
         self._hom: dict = {}
+        self._subspace_frames: dict = {}
         self._euler: dict = {}
         self._nclasses = 0
 
@@ -476,12 +474,12 @@ class ClassTable:
         return sum(1 for c in self.classes(mu) if c.indecomposable)
 
     def classify(self, rep: Rep) -> ClassId:
-        mu = rep.dim
+        return (rep.dim, self._lookup(rep.dim, [rep.mats])[0])
+
+    def _lookup(self, mu: DimVec, reps) -> list[int]:
+        """The class labels of representations of dimension mu, given as in _digits."""
         self._ensure(mu)
-        label = self._mu[mu].label(rep.mats)
-        if label is None:
-            raise ValueError("representation is not nilpotent or not in the table")
-        return (mu, label)
+        return self._mu[mu].lookup(_digits(reps))
 
     def euler(self, a, b) -> int:
         key = (tuple(a), tuple(b))
@@ -585,7 +583,7 @@ class ClassTable:
                 new = _unique(codec.pack(images.reshape(codec.n, -1)))
                 # Each search takes only the survivors of the one before.
                 for known in (cur, prev, nxt):
-                    new = new[~_member(known, new)]
+                    new = new[~_find(known, new)[1]]
                 if closed + size + nxt.size + new.size > self.max_states:
                     raise LimitExceeded(
                         f"orbit states at dimension {mu} exceed max_states={self.max_states}"
@@ -658,14 +656,14 @@ class ClassTable:
             cand = codec.pack(digits)
             seen = np.zeros(cand.size, dtype=bool)
             for orbit in orbits:
-                seen |= _member(orbit, cand)
+                seen |= _find(orbit, cand)[1]
             for r in range(cand.size):
                 if seen[r]:
                     continue
                 orbit = self._orbit(mu, codec, maps, cand[r : r + 1], nstates)
                 orbits.append(orbit)
                 nstates += orbit.size
-                seen |= _member(orbit, cand)
+                seen |= _find(orbit, cand)[1]
         mins = np.concatenate([orbit[:1] for orbit in orbits])
         order = np.argsort(mins, kind="stable")
         keys = np.concatenate(orbits)
@@ -705,9 +703,9 @@ class ClassTable:
             if (rest, nu) in seen_pairs:
                 continue
             seen_pairs.add((nu, rest))
-            for left in self.classes(nu):
-                for right in self.classes(rest):
-                    decomposable.add(data.label(left.rep.direct_sum(right.rep).mats))
+            left, right = self.classes(nu), self.classes(rest)
+            sums = [a.rep.direct_sum(b.rep).mats for a in left for b in right]
+            decomposable.update(data.lookup(_digits(sums)))
         data.classes = tuple(
             RepClass(c.cid, c.rep, c.aut, c.orbit_size, c.cid[1] not in decomposable)
             for c in classes
@@ -735,48 +733,48 @@ class ClassTable:
         grep = self.cls(gamma).rep
         p = self.q
         quot_dim = dim_sub(gdim, sub_dim)
-        per_vertex = [
-            list(modlin.subspace_bases(gdim[i], sub_dim[i], p))
-            for i in range(self.quiver.vertices)
-        ]
+        # In a pair of frames an arrow's matrix has a zero lower-left block
+        # exactly when it maps sub into sub; the upper-left block is then the
+        # sub's matrix and the lower-right block the quotient's.
+        frames = [self._frames(d, k) for d, k in zip(gdim, sub_dim)]
         arrows = self.quiver.arrows
-        for choice in itertools.product(*per_vertex):
-            bases = [c[0] for c in choice]
-            pivots = [c[1] for c in choice]
-            closed = True
-            sub_mats = []
-            for (s, t), m in zip(arrows, grep.mats):
-                if sub_dim[s]:
-                    img = (bases[s] @ m.T) % p
-                else:
-                    img = np.zeros((0, gdim[t]), dtype=np.int64)
-                coords = np.zeros((sub_dim[t], sub_dim[s]), dtype=np.int64)
-                for j in range(img.shape[0]):
-                    resid = modlin.reduce_vector(bases[t], pivots[t], img[j], p)
-                    if resid.any():
-                        closed = False
-                        break
-                    coords[:, j] = img[j][list(pivots[t])]
-                if not closed:
+        cut = [(sub_dim[t], sub_dim[s]) for s, t in arrows]
+        subs, quots = [], []
+        for choice in itertools.product(*frames):
+            images = []
+            for (s, t), m, (r, c) in zip(arrows, grep.mats, cut):
+                img = choice[t][1] @ m @ choice[s][0] % p
+                if img[r:, :c].any():
                     break
-                sub_mats.append(coords)
-            if not closed:
-                continue
-            quot_mats = []
-            comp = [
-                [j for j in range(gdim[i]) if j not in pivots[i]]
-                for i in range(self.quiver.vertices)
-            ]
-            for (s, t), m in zip(arrows, grep.mats):
-                qm = np.zeros((quot_dim[t], quot_dim[s]), dtype=np.int64)
-                for jj, j in enumerate(comp[s]):
-                    resid = modlin.reduce_vector(bases[t], pivots[t], m[:, j], p)
-                    qm[:, jj] = resid[comp[t]]
-                quot_mats.append(qm)
-            sub_cid = self.classify(Rep(self.quiver, p, sub_dim, sub_mats))
-            quot_cid = self.classify(Rep(self.quiver, p, quot_dim, quot_mats))
-            out[(quot_cid, sub_cid)] = out.get((quot_cid, sub_cid), 0) + 1
+                images.append(img)
+            else:
+                subs.append([img[:r, :c] for img, (r, c) in zip(images, cut)])
+                quots.append([img[r:, c:] for img, (r, c) in zip(images, cut)])
+        if subs:
+            sub_labels = self._lookup(sub_dim, subs)
+            quot_labels = self._lookup(quot_dim, quots)
+            for quot, sub in zip(quot_labels, sub_labels):
+                key = ((quot_dim, quot), (sub_dim, sub))
+                out[key] = out.get(key, 0) + 1
         self._hall_dist[cache_key] = out
+        return out
+
+    def _frames(self, d: int, k: int) -> list:
+        """(frame, coords) per k-dimensional subspace of F_q^d, in subspace_bases
+        order: the frame's columns are the rref basis, then the unit vectors off
+        its pivots; coords, its inverse, reads v as its pivot entries c, then
+        the entries off the pivots of the residual v - basis^T c."""
+        out = self._subspace_frames.get((d, k))
+        if out is None:
+            p = self.q
+            eye = np.eye(d, dtype=np.int64)
+            out = []
+            for basis, piv in modlin.subspace_bases(d, k, p):
+                comp = [j for j in range(d) if j not in piv]
+                coords = eye[list(piv) + comp]
+                coords[k:, list(piv)] = -basis[:, comp].T % p
+                out.append((np.concatenate([basis.T, eye[:, comp]], axis=1), coords))
+            self._subspace_frames[(d, k)] = out
         return out
 
     def hall(self, quot: ClassId, sub: ClassId, gamma: ClassId) -> int:

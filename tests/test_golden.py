@@ -1,7 +1,9 @@
 """Byte identity of the output of every command on the sample configs: the
 sha256 of stdout.  The --format json digests were recorded before the
-sign-generic rewrite of the Hall Hopf operations, the --format text digests
-before the command table replaced the per-command output code."""
+sign-generic rewrite of the Hall Hopf operations, those of tube2 (the rank-2
+tube C2) before Hall numbers were computed by one change of basis per
+subspace, and the --format text digests before the command table replaced
+the per-command output code."""
 
 import hashlib
 import os
@@ -42,6 +44,12 @@ GOLDEN = {
     ("kronecker", "roots"): "f30ac2ca2bd7ef52e330af9f68753844ed54a849fbe715c7a7401efb06e97163",
     ("kronecker", "sv"): "535c5031bbeb8e998df91f178e3315cd653efc0a1e6438666b3d3d3da8fc11de",
     ("kronecker", "verify"): "241fa99d4dfcdc3df49026194ad03ca1bfc5534df0412d7d564b7d7185f7da9d",
+    ("tube2", "classify"): "13f4d2e4f69c976990cded5983fa3969a582e5fa1ea2d095cb168b3cc1275aa6",
+    ("tube2", "hall-table"): "1db0168917093be0996a0b60363bbcace173f21ac627afe459470fe284d64981",
+    ("tube2", "cartan"): "619d6b373e07fa0ecd0220bb9c9b0d1d29793827f943c812a323be789c87e579",
+    ("tube2", "roots"): "19d708eb5f67ab966cb3a06f6169da542653bd55098cfdf010205a640bce6961",
+    ("tube2", "sv"): "8f3764a6cf78d84b05b05df6b2a1bced2da69504761d9159cc7293f832ef18ef",
+    ("tube2", "verify"): "577cfb267f13177900f55ebe526a6ec463826659a6ac38b58e3ce85eba015dc6",
 }
 
 

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from hallalg import ClassTable, DoubleHall, GroundField
+from hallalg.cli import main
 from hallalg.primitives import (
     decomposable_span,
     extend_datum,
@@ -8,7 +11,7 @@ from hallalg.primitives import (
     primitive_space,
 )
 
-from conftest import a2, jordan, kronecker
+from conftest import CONFIGS, a2, jordan, kronecker
 
 
 def _H(table):
@@ -131,3 +134,22 @@ def test_projection():
     assert ext.project(((1, 1), 2)) == (1, 1)
     vec = [1, 0, 2, 0]
     assert ext.project_vector(vec) == (3, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_tube_sv_has_one_new_index_per_multiple_of_delta(q, cli_json, tmp_path, capsys):
+    """C2 is the rank-2 tube.  Its Hall algebra is U_v^+ of affine sl_2 times a
+    polynomial ring with one central generator in each degree k*delta
+    (Schiffmann 2000; Hubery 2005), so `sv` on the bound (2, 2) adjoins exactly
+    one index at delta = (1, 1) and one at 2*delta = (2, 2), whatever q is."""
+    if q == 2:
+        code, out = cli_json("tube2", ["sv"])
+    else:
+        text = (CONFIGS / "tube2.cfg").read_text()
+        assert "q = 2\n" in text
+        cfg = tmp_path / "tube2-q3.cfg"
+        cfg.write_text(text.replace("q = 2\n", f"q = {q}\n"))
+        code = main(["sv", "--config", str(cfg), "--format", "json"])
+        out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["new_indices"] == [[[1, 1], 1], [[2, 2], 1]]

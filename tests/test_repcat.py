@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -298,7 +299,9 @@ def test_determinism():
     for mu in a.degrees():
         ca, cb = a.classes(mu), b.classes(mu)
         assert [c.cid for c in ca] == [c.cid for c in cb]
-        assert [c.rep.key() for c in ca] == [c.rep.key() for c in cb]
+        assert [[m.tolist() for m in c.rep.mats] for c in ca] == [
+            [m.tolist() for m in c.rep.mats] for c in cb
+        ]
         assert [c.aut for c in ca] == [c.aut for c in cb]
 
 
@@ -424,7 +427,8 @@ def _edge_rows(q, n):
 def test_key_packing_preserves_order_and_round_trips(case):
     q, n, rows = case
     codec = _KeyCodec(q, n)
-    bits = n * max(1, (q - 1).bit_length())
+    width = max(1, (q - 1).bit_length())
+    bits = n * width
     assert codec.native == (bits <= 64)
     if codec.native:
         # The narrowest unsigned integer dtype that holds the key.
@@ -436,8 +440,12 @@ def test_key_packing_preserves_order_and_round_trips(case):
     assert np.array_equal(codec.unpack(keys), digits)
     in_key_order = digits[:, np.argsort(keys, kind="stable")]
     assert [tuple(r) for r in in_key_order.T.tolist()] == sorted(map(tuple, rows))
+    # Each key is the big-endian integer of its row, width bits per entry.
     for row, key in zip(rows, keys):
-        assert codec.key([np.array(row, dtype=np.int64).reshape(1, n)]) == key
+        expect = 0
+        for x in row:
+            expect = (expect << width) | x
+        assert (int(key) if codec.native else int.from_bytes(key.tobytes(), "big")) == expect
 
 
 @pytest.mark.parametrize("q,bound", [(3, (2, 2)), (17, (1, 1))])
@@ -449,8 +457,12 @@ def test_void_keys_give_the_same_table(monkeypatch, q, bound):
     wide = ClassTable(kronecker(), GroundField(q), bound)
     for mu in native.degrees():
         a, b = native.classes(mu), wide.classes(mu)
-        assert [(c.cid, c.rep.key(), c.aut, c.orbit_size, c.indecomposable) for c in a] == [
-            (c.cid, c.rep.key(), c.aut, c.orbit_size, c.indecomposable) for c in b
+        assert [
+            (c.cid, [m.tolist() for m in c.rep.mats], c.aut, c.orbit_size, c.indecomposable)
+            for c in a
+        ] == [
+            (c.cid, [m.tolist() for m in c.rep.mats], c.aut, c.orbit_size, c.indecomposable)
+            for c in b
         ]
     assert wide._mu[bound].keys.dtype.kind == "V"
     for mu in native.degrees():
@@ -610,6 +622,39 @@ def test_hall_against_independent_oracle():
     for quiver, q, table, g, a, b in cases:
         expected = oracle_hall(quiver, q, g.rep, a.rep, b.rep)
         assert table.hall(a.cid, b.cid, g.cid) == expected
+
+
+RIEDTMANN_TABLES = [
+    (a2(), 2, (2, 2)),
+    (jordan(), 2, (4,)),
+    (jordan(), 3, (3,)),
+    (kronecker(), 2, (2, 2)),
+    (kronecker(), 3, (1, 2)),
+    (Quiver(2, [(0, 1), (1, 0)]), 2, (2, 2)),
+    (Quiver(1, [(0, 0), (0, 0)]), 2, (2,)),
+]
+
+
+def test_hall_numbers_satisfy_riedtmanns_sum_rule():
+    # Riedtmann's formula (Riedtmann 1994; Ringel 1990) summed over the middle
+    # term: sum_L F^L_{MN} |Aut M| |Aut N| |Hom(M, N)| / |Aut L| = |Ext^1(M, N)|,
+    # where F^L_{MN} counts the subobjects of L isomorphic to N with quotient
+    # isomorphic to M.  Hom and Ext come from the intertwiner equations and the
+    # Euler form, not from the subobject counts.
+    pairs = 0
+    for quiver, q, bound in RIEDTMANN_TABLES:
+        t = ClassTable(quiver, GroundField(q), bound)
+        nonzero = [c for mu in t.degrees() if sum(mu) for c in t.classes(mu)]
+        for m in nonzero:
+            for n in nonzero:
+                total = tuple(a + b for a, b in zip(m.dim, n.dim))
+                if any(x > b for x, b in zip(total, bound)):
+                    continue
+                lhs = sum(Fraction(t.hall(m.cid, n.cid, g.cid), g.aut) for g in t.classes(total))
+                lhs *= m.aut * n.aut * q ** hom_dim(m.rep, n.rep)
+                assert lhs == q ** ext_dim(m.rep, n.rep), (quiver, q, m, n)
+                pairs += 1
+    assert pairs == 175
 
 
 def test_hall_zero_on_dimension_mismatch():
