@@ -139,7 +139,7 @@ class DoubleHall:
         self.zero_dim = table.quiver.zero_dim()
         self._u_prod: dict = {}
         self._comult_consts: dict = {}
-        self._anti_consts: dict = {}
+        self._anti_coeff: dict = {}
         self._anti_sym: dict = {}
         self._omega_sym: dict = {}
         self._straight: dict = {}
@@ -226,62 +226,41 @@ class DoubleHall:
             self._comult_consts[key] = tuple(out)
         return self._comult_consts[key]
 
-    def _class_sequences(self, mu: DimVec):
-        """All tuples of nonzero classes whose dimension vectors sum to mu."""
-        if sum(mu) == 0:
-            return [()]
-        out = []
-        for nu in dims_below(mu):
-            if sum(nu) == 0:
-                continue
-            rest = dim_sub(mu, nu)
-            tails = self._class_sequences(rest)
-            for c in self.table.classes(nu):
-                for tail in tails:
-                    out.append((c.cid,) + tail)
-        return out
+    def _antipode_coeff(self, g: ClassId, pi: ClassId, plus: bool) -> Fraction:
+        """The coefficient of K_{-g} u_pi^+ in S(u_g^+), or of u_pi^- K_g in
+        S(u_g^-).
 
-    def _antipode_terms(self, g: ClassId, plus: bool):
-        """Coefficients c_pi with S(u_g^+) = sum_pi c_pi K_{-g} u_pi^+, or
-        S(u_g^-) = sum_pi c_pi u_pi^- K_g.
+        Xiao's alternating sum over pairs of filtrations of M_g and M_pi with
+        the same factors, grouped by the top factor of the one of M_g:
 
-        The minus sign drops the v-twist and reverses the filtration order.
+            c(g, pi) = -sum n aut(top) aut(sub) / aut(g) q^<top, sub> m c(sub, rest)
+
+        over the n subobjects sub of M_g with quotient top, and the m
+        subobjects of M_pi isomorphic to rest with quotient top (plus) or to
+        top with quotient rest (minus, which drops the q-twist).  c(0, 0) = 1,
+        and every term is rational because v^2k = q^k.
         """
-        key = (g, plus)
-        if key not in self._anti_consts:
+        key = (g, pi, plus)
+        out = self._anti_coeff.get(key)
+        if out is None:
             t = self.table
-            if sum(g[0]) == 0:
-                self._anti_consts[key] = ((self.zero_cid, self.field.one),)
-                return self._anti_consts[key]
-            acc: dict[ClassId, Scalar] = {}
-            targets = t.classes(g[0])
-            for seq in self._class_sequences(g[0]):
-                n_g = t.hall_multi(g, seq)
-                if not n_g:
-                    continue
-                m = len(seq)
-                tw = 0
-                if plus:
-                    for i in range(m):
-                        for j in range(i + 1, m):
-                            tw += t.euler(seq[i][0], seq[j][0])
-                afac = 1
-                for s in seq:
-                    afac *= t.aut(s)
-                c = self.field.v_pow(2 * tw) * Fraction(afac, t.aut(g)) * n_g
-                if m % 2:
-                    c = -c
-                order = seq if plus else seq[::-1]
-                for pi in targets:
-                    n_pi = t.hall_multi(pi.cid, order)
-                    if n_pi:
-                        prev = acc.get(pi.cid)
-                        val = c * n_pi
-                        acc[pi.cid] = val if prev is None else prev + val
-            self._anti_consts[key] = tuple(
-                (k, v) for k, v in sorted(acc.items()) if v
-            )
-        return self._anti_consts[key]
+            out = Fraction(int(g == self.zero_cid))
+            for nu in dims_below(g[0])[:-1]:  # every nu < dim g; dim g comes last
+                tails: dict[ClassId, list] = {}
+                pdist = t.hall_distribution(pi, nu if plus else dim_sub(g[0], nu))
+                for (quot, sub), m in pdist.items():
+                    top, rest = (quot, sub) if plus else (sub, quot)
+                    tails.setdefault(top, []).append((rest, m))
+                for (top, sub), n in t.hall_distribution(g, nu).items():
+                    inner = sum(m * self._antipode_coeff(sub, rest, plus)
+                                for rest, m in tails.get(top, ()))
+                    if inner:
+                        w = Fraction(n * t.aut(top) * t.aut(sub), t.aut(g))
+                        if plus:
+                            w *= Fraction(t.q) ** t.euler(top[0], nu)
+                        out -= w * inner
+            self._anti_coeff[key] = out
+        return out
 
     # ----- one-sided Hopf operations ---------------------------------------
 
@@ -334,16 +313,16 @@ class DoubleHall:
         key = (s, plus)
         out = self._anti_sym.get(key)
         if out is None:
-            t = self.table
-            acc: dict[BasisSym, Scalar] = {}
             g = _slot(s, plus)
-            # K_{-g} on the plus side, K_g on the minus side, times K_{-torus}.
+            # K_{-g} on the plus side, K_g on the minus side, times K_{-torus};
+            # moving K_torus past u_pi contributes v^(torus, g) to every term.
             gdim = tuple(-d for d in g[0]) if plus else g[0]
             mu = dim_sub(gdim, s.torus)
-            for pi, cc in self._antipode_terms(g, plus):
-                tw = self.field.v_pow(t.sym(s.torus, pi[0]))
-                _acc(acc, self._monomial(pi, mu, plus), cc * tw)
-            out = AlgElt(acc)
+            tw = self.field.v_pow(self.table.sym(s.torus, g[0]))
+            out = AlgElt({
+                self._monomial(pi.cid, mu, plus): tw * self._antipode_coeff(g, pi.cid, plus)
+                for pi in self.table.classes(g[0])
+            })
             self._anti_sym[key] = out
         return out
 

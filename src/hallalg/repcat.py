@@ -806,15 +806,11 @@ class ClassTable:
         else:
             first = parts[0]
             rest = parts[1:]
-            rest_dim = dim_sub(gamma[0], first[0])
-            if any(d < 0 for d in rest_dim):
-                out = 0
-            else:
-                out = 0
-                dist = self.hall_distribution(gamma, rest_dim)
-                for (quot_cid, sub_cid), g in dist.items():
-                    if quot_cid == first:
-                        out += g * self.hall_multi(sub_cid, rest)
+            out = 0
+            dist = self.hall_distribution(gamma, dim_sub(gamma[0], first[0]))
+            for (quot_cid, sub_cid), g in dist.items():
+                if quot_cid == first:
+                    out += g * self.hall_multi(sub_cid, rest)
         self._hall_multi[key] = out
         return out
 

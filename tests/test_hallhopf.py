@@ -1,10 +1,13 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from hallalg import ClassTable, DoubleHall, GroundField, TruncationError
+from hallalg import ClassTable, DoubleHall, GroundField, Quiver, TruncationError
 from hallalg.hallhopf import AlgElt, BasisSym, TensorElt
+from hallalg.repcat import dim_sub, dims_below
 
 from conftest import a2, jordan, kronecker
 
@@ -155,6 +158,67 @@ def test_antipode_examples(a2_q2):
     expect = AlgElt({BasisSym(s1, (1, 0), zero): -H.field.one})
     assert H.antipode_minus(H.u_minus(s1)) == expect
     assert H.antipode_plus(H.one()) == H.one()
+
+
+def _class_sequences(t, mu):
+    """Every tuple of nonzero classes whose dimension vectors sum to mu."""
+    if not sum(mu):
+        return [()]
+    return [
+        (c.cid,) + tail
+        for nu in dims_below(mu)
+        if sum(nu)
+        for c in t.classes(nu)
+        for tail in _class_sequences(t, dim_sub(mu, nu))
+    ]
+
+
+def _xiao_antipode(H, g, plus):
+    """S(u_g) by Xiao's sum over filtrations of M_g (Xiao 1997).
+
+    A sequence of factors s_1, ..., s_m, top first, weighs (-1)^m
+    v^(2 sum_{i<j} <s_i, s_j>) prod |Aut s_i| / |Aut g| times the number of
+    such filtrations of M_g, and reaches u_pi as often as M_pi has
+    filtrations with the same factors.  The minus sign reverses the factors
+    of M_pi and drops the v-twist.
+    """
+    t = H.table
+    mu = tuple(-d for d in g[0]) if plus else g[0]
+    out = AlgElt()
+    for seq in _class_sequences(t, g[0]):
+        n_g = t.hall_multi(g, seq)
+        if not n_g:
+            continue
+        twist = sum(t.euler(a[0], b[0]) for a, b in itertools.combinations(seq, 2))
+        weight = Fraction((-1) ** len(seq) * n_g * math.prod(t.aut(s) for s in seq), t.aut(g))
+        c = H.field.v_pow(2 * twist if plus else 0) * weight
+        for pi in t.classes(g[0]):
+            n_pi = t.hall_multi(pi.cid, seq if plus else seq[::-1])
+            if n_pi:
+                out = out + H.sym_elt(H._monomial(pi.cid, mu, plus)).scaled(c * n_pi)
+    return out
+
+
+XIAO_TABLES = [
+    (a2(), 2, (2, 2)),
+    (jordan(), 2, (4,)),
+    (jordan(), 3, (3,)),
+    (kronecker(), 2, (2, 2)),
+    (kronecker(), 3, (1, 2)),
+    (Quiver(2, [(0, 1), (1, 0)]), 2, (2, 2)),
+    (Quiver(3, [(0, 1), (1, 2)]), 2, (2, 1, 2)),
+    (Quiver(1, [(0, 0), (0, 0)]), 2, (2,)),
+]
+
+
+def test_antipode_matches_xiaos_filtration_sum():
+    for quiver, q, bound in XIAO_TABLES:
+        t = ClassTable(quiver, GroundField(q), bound)
+        H = _H(t)
+        for mu in t.degrees():
+            for c in t.classes(mu):
+                assert H.antipode_plus(H.u_plus(c.cid)) == _xiao_antipode(H, c.cid, True)
+                assert H.antipode_minus(H.u_minus(c.cid)) == _xiao_antipode(H, c.cid, False)
 
 
 # ----- involution ------------------------------------------------------------

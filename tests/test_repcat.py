@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -579,11 +580,16 @@ def test_hall_examples():
     assert t.hall(zero, semisimple, semisimple) == 1
 
 
-def test_hall_multi():
+def test_hall_multi(jordan_q2, jordan_q3):
+    # Pairs (complete flag of F_q^n, nilpotent matrix lowering it) counted two
+    # ways: sum_c |orbit c| F^c_{s,...,s} = [n]_q! q^(n(n-1)/2).
+    for table, n, pairs in ((jordan_q2, 3, 168), (jordan_q2, 4, 20160), (jordan_q3, 3, 1404)):
+        q, s = table.q, table.simple_ids()[0]
+        total = sum(c.orbit_size * table.hall_multi(c.cid, (s,) * n) for c in table.classes((n,)))
+        q_factorial = math.prod((q**k - 1) // (q - 1) for k in range(1, n + 1))
+        assert total == q_factorial * q ** (n * (n - 1) // 2) == pairs
     t = ClassTable(jordan(), GroundField(2), (3,))
     s = t.simple_ids()[0]
-    semisimple3 = t.classes((3,))[0].cid
-    assert all(not t.cls(c.cid).indecomposable or True for c in t.classes((3,)))
     flags = {c.cid: t.hall_multi(c.cid, (s, s, s)) for c in t.classes((3,))}
     zero_class3 = next(
         c.cid for c in t.classes((3,)) if not np.concatenate(c.rep.mats, axis=None).any()
