@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import gkm, primitives
-from .hallhopf import DoubleHall
+from .hallhopf import DoubleHall, TruncationError
 from .repcat import (
     ClassTable,
     DEFAULT_MAX_CLASSES,
@@ -387,6 +387,8 @@ def run_command(cmd: str, config: Config, *, suite: str = "all") -> tuple[int, s
         data = command.build(config.table(), config, digest=digest, suite=suite)
     except LimitExceeded as exc:
         return 3, f"resource limit: {exc}"
+    except TruncationError as exc:
+        return 3, f"resource limit: {exc}; raise [limits] bound"
     if command.header:
         data = {"command": cmd, "config_digest": digest, **data}
     if config.output_format == "json":

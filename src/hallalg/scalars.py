@@ -45,8 +45,9 @@ def is_prime(n: int) -> bool:
 class Scalar:
     """An element a + b*v of Q(sqrt(q)), with v**2 = q.
 
-    Values are immutable; arithmetic returns fresh objects.  Mixing scalars
-    over different q is an error.
+    Values are immutable, so arithmetic may share them: a product with an
+    exact one is the other operand itself.  Mixing scalars over different q
+    is an error.
     """
 
     __slots__ = ("q", "a", "b")
@@ -101,6 +102,12 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # An exact unit factor is never multiplied: Scalars are values, so
+        # the other operand is returned as it is.
+        if self.b == 0 and self.a == 1:
+            return o
+        if o.b == 0 and o.a == 1:
+            return self
         return Scalar(
             self.q,
             self.a * o.a + self.b * o.b * self.q,

@@ -1,9 +1,13 @@
-"""Error contracts: domain errors surface as ValueError with usable messages."""
+"""Error contracts: domain errors surface as ValueError with usable messages,
+and resource limits as CLI exit code 3 with a message naming the knob."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from hallalg import ClassTable, GroundField, Quiver, Rep, hom_dim
+from hallalg import ClassTable, DoubleHall, GroundField, Quiver, Rep, hom_dim
+from hallalg import cli
 
 from conftest import a2, jordan
 
@@ -49,3 +53,33 @@ def test_direct_sum_requires_same_context():
     n = Rep.simple(jordan(), 2, 0)
     with pytest.raises(ValueError):
         m.direct_sum(n)
+
+
+A2_BOUND_11 = """
+[quiver]
+vertices = 2
+arrows = [[1, 2]]
+[field]
+q = 2
+[limits]
+bound = [1, 1]
+"""
+
+
+def test_truncation_is_a_resource_limit_naming_the_bound(monkeypatch, tmp_path, capsys):
+    # The suites stop at the table bound, so no config reaches
+    # TruncationError; this builder multiplies past the bound itself.
+    def build(table, config, **options):
+        h = DoubleHall(table)
+        s = table.simple_ids()[0]
+        return h.mult_plus(h.u_plus(s), h.u_plus(s))
+
+    verify = dataclasses.replace(cli._COMMANDS["verify"], build=build)
+    monkeypatch.setitem(cli._COMMANDS, "verify", verify)
+    code, out = cli.run_command("verify", cli.parse_config(A2_BOUND_11))
+    assert code == 3
+    assert out.startswith("resource limit: ") and "[limits] bound" in out
+    cfg = tmp_path / "a2.cfg"
+    cfg.write_text(A2_BOUND_11)
+    assert cli.main(["verify", "--config", str(cfg)]) == 3
+    assert "[limits] bound" in capsys.readouterr().out

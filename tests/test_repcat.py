@@ -663,6 +663,85 @@ def test_hall_numbers_satisfy_riedtmanns_sum_rule():
     assert pairs == 175
 
 
+def _rank_mod_p(rows, p):
+    """Rank over F_p by Gaussian elimination on lists of ints."""
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _jordan_type_conjugate(rep, p):
+    """The conjugate λ' of the Jordan type of a nilpotent matrix:
+    λ'_k = rank N^(k-1) - rank N^k."""
+    n = rep.dim[0]
+    m = _as_tuples(rep.mats)[0]
+    power = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    ranks = [n]
+    while ranks[-1]:
+        power = _mat_mul(power, m, p)
+        ranks.append(_rank_mod_p(power, p))
+    return [a - b for a, b in zip(ranks, ranks[1:])]
+
+
+def _q_binom_at(a, b, t):
+    """The Gaussian binomial [a choose b] evaluated at t."""
+    return math.prod((1 - t ** (a - b + j)) / (1 - t**j) for j in range(1, b + 1))
+
+
+def _macdonald_vertical_strip(lam_c, mu_c, q):
+    """g^λ_{μ,(1^m)}(q) from conjugates (Macdonald, Symmetric Functions and
+    Hall Polynomials, II (4.6)): q^(n(λ)-n(μ)-n(1^m)) prod_i [λ'_i - λ'_{i+1}
+    choose λ'_i - μ'_i] at 1/q when λ/μ is a vertical m-strip, else 0."""
+    width = len(lam_c)
+    if len(mu_c) > width:
+        return 0
+    lam_c = list(lam_c) + [0]
+    mu_c = list(mu_c) + [0] * (width + 1 - len(mu_c))
+    # A vertical strip: λ'_i >= μ'_i >= λ'_{i+1} for every column i.
+    if any(not lam_c[i] >= mu_c[i] >= lam_c[i + 1] for i in range(width)):
+        return 0
+    m = sum(lam_c) - sum(mu_c)
+    n_lam = sum(c * (c - 1) // 2 for c in lam_c)
+    n_mu = sum(c * (c - 1) // 2 for c in mu_c)
+    t = Fraction(1, q)
+    value = Fraction(q) ** (n_lam - n_mu - m * (m - 1) // 2) * math.prod(
+        _q_binom_at(lam_c[i] - lam_c[i + 1], lam_c[i] - mu_c[i], t) for i in range(width)
+    )
+    assert value.denominator == 1
+    return int(value)
+
+
+@pytest.mark.parametrize("q, n, triples", [(2, 4, 52), (2, 5, 136), (3, 3, 17), (5, 3, 17)])
+def test_jordan_hall_numbers_match_macdonalds_vertical_strip_formula(q, n, triples):
+    # Every Hall number g^λ_{μ,(1^m)} of the Jordan quiver against the closed
+    # form; partitions come from ranks of powers, not from the table's lookup.
+    # The Jordan Hall algebra is commutative, so either slot may hold (1^m).
+    t = ClassTable(jordan(), GroundField(q), (n,))
+    conj = {c.cid: _jordan_type_conjugate(c.rep, q) for mu in t.degrees() for c in t.classes(mu)}
+    checked = 0
+    for lam in (c for d in range(1, n + 1) for c in t.classes((d,))):
+        for m in range(1, lam.dim[0] + 1):
+            ones = next(cid for cid in conj if cid[0] == (m,) and len(conj[cid]) <= 1)
+            for mu in t.classes((lam.dim[0] - m,)):
+                expected = _macdonald_vertical_strip(conj[lam.cid], conj[mu.cid], q)
+                assert t.hall(mu.cid, ones, lam.cid) == expected, (lam, mu, m)
+                assert t.hall(ones, mu.cid, lam.cid) == expected, (lam, mu, m)
+                checked += 1
+    assert checked == triples
+
+
 def test_hall_zero_on_dimension_mismatch():
     t = ClassTable(jordan(), GroundField(2), (2,))
     s = t.simple_ids()[0]

@@ -1,7 +1,8 @@
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hallalg.scalars import (
     GroundField,
@@ -145,3 +146,125 @@ def test_mixed_fields_rejected():
 def test_str_format():
     assert str(Scalar(2, Fraction(3, 2), Fraction(1, 2))) == "3/2+1/2*v"
     assert str(Scalar(2, 0, -1)) == "0-1*v"
+
+
+# ----- exact unit factors ---------------------------------------------------
+
+
+def test_unit_factor_checks_the_field_first():
+    with pytest.raises(ValueError):
+        Scalar(2, 1) * Scalar(3, 5)
+    with pytest.raises(ValueError):
+        Scalar(3, 5) * Scalar(2, 1)
+
+
+def test_one_plus_v_is_not_a_unit():
+    # (1 + v)(3 + 5v) = 3 + 5v + 3v + 5q at q = 2.
+    one_plus_v = Scalar(2, 1, 1)
+    x = Scalar(2, 3, 5)
+    assert one_plus_v * x == Scalar(2, 13, 8)
+    assert x * one_plus_v == Scalar(2, 13, 8)
+    assert one_plus_v * one_plus_v == Scalar(2, 3, 2)
+
+
+def test_collapsed_square_root_unit_short_circuits():
+    # Over q = 4, v/2 is 1: the constructor collapses it onto the rational axis.
+    unit = Scalar(4, 0, Fraction(1, 2))
+    assert (unit.a, unit.b) == (1, 0)
+    x = Scalar(4, Fraction(3, 7))
+    assert unit * x is x
+    assert x * unit is x
+
+
+@pytest.mark.parametrize("x", [Scalar(2, Fraction(-3, 4), Fraction(5, 6)), Scalar(3, 0, -1), Scalar(5, 0)])
+def test_unit_factors_return_the_other_operand(x):
+    one = GroundField(x.q).one
+    for product in (x * one, one * x, x * 1, 1 * x, Fraction(1) * x, x * Fraction(1), x**0 * x):
+        assert product == x
+        assert str(product) == str(x)
+        assert hash(product) == hash(x)
+
+
+# ----- oracle: sympy's Rational + Rational*sqrt(q) --------------------------
+
+ORACLE_FIELDS = (2, 3, 5, 4)  # 4 is a perfect square: v collapses to 2
+
+
+def _sympy_value(x, q):
+    """x as a sympy number; no Scalar arithmetic is used."""
+    sympy = pytest.importorskip("sympy")
+    if isinstance(x, Scalar):
+        return sympy.Rational(x.a.numerator, x.a.denominator) + sympy.Rational(
+            x.b.numerator, x.b.denominator
+        ) * sympy.sqrt(q)
+    x = Fraction(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _agrees(result, expected, q):
+    """result, a Scalar, is the canonical a + b*sqrt(q) form of expected."""
+    sympy = pytest.importorskip("sympy")
+    assert isinstance(result, Scalar) and result.q == q
+    return _sympy_value(result, q) == sympy.expand(sympy.radsimp(expected))
+
+
+@st.composite
+def oracle_operand(draw, q):
+    """A Scalar, an int or a Fraction; exact units and a = 1 with any b are
+    drawn often, so the unit short-circuit and its near misses are hit."""
+    kind = draw(st.sampled_from(("unit", "near-unit", "scalar", "scalar", "rational")))
+    if kind == "unit":
+        return draw(st.sampled_from((Scalar(q, 1), Fraction(1), 1)))
+    if kind == "near-unit":
+        return Scalar(q, 1, draw(rationals))
+    if kind == "scalar":
+        return Scalar(q, draw(rationals), draw(rationals))
+    return draw(st.one_of(st.integers(-20, 20), rationals))
+
+
+@st.composite
+def oracle_scalar(draw):
+    """(q, x) with x an oracle operand made a Scalar."""
+    q = draw(st.sampled_from(ORACLE_FIELDS))
+    x = draw(oracle_operand(q))
+    return q, x if isinstance(x, Scalar) else Scalar(q, x)
+
+
+@st.composite
+def oracle_pair(draw):
+    """(q, x, y) with at least one Scalar operand, on either side."""
+    q, x = draw(oracle_scalar())
+    y = draw(oracle_operand(q))
+    return (q, y, x) if draw(st.booleans()) else (q, x, y)
+
+
+@settings(deadline=None)
+@given(oracle_pair())
+def test_arithmetic_matches_sympy(case):
+    q, x, y = case
+    ex, ey = _sympy_value(x, q), _sympy_value(y, q)
+    for op in (operator.add, operator.sub, operator.mul):
+        assert _agrees(op(x, y), op(ex, ey), q), (op, x, y)
+    if ey == 0:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        assert _agrees(x / y, ex / ey, q), (x, y)
+
+
+@settings(deadline=None)
+@given(oracle_scalar(), st.integers(-4, 4))
+def test_inv_pow_and_sign_match_sympy(case, n):
+    q, x = case
+    ex = _sympy_value(x, q)
+    assert is_positive(x) == bool(ex.is_positive), x
+    if ex == 0:
+        with pytest.raises(ZeroDivisionError):
+            x.inv()
+        if n < 0:
+            with pytest.raises(ZeroDivisionError):
+                x**n
+            return
+    else:
+        assert _agrees(x.inv(), 1 / ex, q), x
+    assert _agrees(x**n, ex**n, q), (x, n)
