@@ -2,7 +2,9 @@
 sha256 of stdout.  The --format json digests were recorded before the
 sign-generic rewrite of the Hall Hopf operations, those of tube2 (the rank-2
 tube C2) before Hall numbers were computed by one change of basis per
-subspace, and the --format text digests before the command table replaced
+subspace, those of x2 (the Euclidean quiver A~_{2,1}, the first sample config
+with three vertices) before the one-sided products became the double's
+product, and the --format text digests before the command table replaced
 the per-command output code."""
 
 import hashlib
@@ -50,6 +52,12 @@ GOLDEN = {
     ("tube2", "roots"): "19d708eb5f67ab966cb3a06f6169da542653bd55098cfdf010205a640bce6961",
     ("tube2", "sv"): "8f3764a6cf78d84b05b05df6b2a1bced2da69504761d9159cc7293f832ef18ef",
     ("tube2", "verify"): "577cfb267f13177900f55ebe526a6ec463826659a6ac38b58e3ce85eba015dc6",
+    ("x2", "classify"): "581ca81958c72bf2d14f8b95d8a1776da50995ece70072ee3f9b5a55f7a136dd",
+    ("x2", "hall-table"): "d8b3888c678e44a31caa8360c8733b6348ffceb966c5b6eb0e526ee1747ff1a9",
+    ("x2", "cartan"): "25cedd225ae5d666c7cf245d87576e781cc7ec3bf1e3c6a9ffcc749a165a3ee4",
+    ("x2", "roots"): "ab83933d0697c7195f5f8d6930f110ebc97d249c730fd8747f8c5c00e4d6ecee",
+    ("x2", "sv"): "44846870374acb542b92715b94bc50b340bac98e0d19c686ff0e8efa8843331a",
+    ("x2", "verify"): "9696b66f6b328dcf38998be5fa7397855d9c53cc40add8bb56209baf2515afd7",
 }
 
 
