@@ -264,28 +264,18 @@ class DoubleHall:
 
     # ----- one-sided Hopf operations ---------------------------------------
 
+    # Each sign's Hall algebra is a subalgebra of the double, so both sided
+    # products are the double's product on pure inputs.
+
     def mult_plus(self, x: AlgElt, y: AlgElt) -> AlgElt:
         """Product in the positive algebra, K_mu u_alpha^+ monomials allowed."""
-        return self._mult_sided(x, y, True)
+        self._require_pure("mult", True, x, y)
+        return self.mult(x, y)
 
     def mult_minus(self, x: AlgElt, y: AlgElt) -> AlgElt:
         """Product in the negative algebra, u_alpha^- K_mu monomials allowed."""
-        return self._mult_sided(x, y, False)
-
-    def _mult_sided(self, x: AlgElt, y: AlgElt, plus: bool) -> AlgElt:
-        self._require_pure("mult", plus, x, y)
-        t = self.table
-        out: dict[BasisSym, Scalar] = {}
-        for sx, cx in x.terms.items():
-            for sy, cy in y.terms.items():
-                a, b = _slot(sx, plus), _slot(sy, plus)
-                # Move the torus of one factor past the other factor's u.
-                e = t.sym(sy.torus, a[0]) if plus else t.sym(sx.torus, b[0])
-                c = cx * cy * self.field.v_pow(-e)
-                mu = dim_add(sx.torus, sy.torus)
-                for g, cg in self._u_product_terms(a, b):
-                    _acc(out, self._monomial(g, mu, plus), c * cg)
-        return AlgElt(out)
+        self._require_pure("mult", False, x, y)
+        return self.mult(x, y)
 
     def comult_plus(self, x: AlgElt) -> TensorElt:
         """Comultiplication of the positive algebra."""
@@ -336,10 +326,7 @@ class DoubleHall:
 
     def _antipode(self, x: AlgElt, plus: bool) -> AlgElt:
         self._require_pure("antipode", plus, x)
-        out = AlgElt()
-        for s, c in x.terms.items():
-            out = out + self._antipode_sym(s, plus).scaled(c)
-        return out
+        return _extend(x, lambda s: self._antipode_sym(s, plus))
 
     def counit(self, x: AlgElt) -> Scalar:
         out = self.field.zero
@@ -397,10 +384,7 @@ class DoubleHall:
 
     def omega(self, x: AlgElt) -> AlgElt:
         """The involution: swaps the signs and inverts the torus."""
-        out = AlgElt()
-        for s, c in x.terms.items():
-            out = out + self._omega_of_sym(s).scaled(c)
-        return out
+        return _extend(x, self._omega_of_sym)
 
     def psi(self, x: AlgElt, y: AlgElt) -> Scalar:
         """The symmetric pairing on the positive algebra: phi against omega."""
@@ -448,17 +432,15 @@ class DoubleHall:
         return self._straight[key]
 
     def mult(self, x: AlgElt, y: AlgElt) -> AlgElt:
-        """Multiplication in the double, output in triangular normal form."""
+        """Multiplication in the double, output in triangular normal form.
+
+        A product is truncated exactly when one of its u-products leaves the
+        bound, which _u_product_terms reports.
+        """
         t = self.table
         out: dict[BasisSym, Scalar] = {}
         for sx, cx in x.terms.items():
             for sy, cy in y.terms.items():
-                for side, a, b in (("negative", sx.minus, sy.minus), ("positive", sx.plus, sy.plus)):
-                    d = dim_add(a[0], b[0])
-                    if not dim_leq(d, t.bound):
-                        raise TruncationError(
-                            f"product needs {side} classes of dimension {d} beyond bound {t.bound}"
-                        )
                 if sx.plus == self.zero_cid:
                     middle = ((BasisSym(sy.minus, self.zero_dim, self.zero_cid), self.field.one),)
                 elif sy.minus == self.zero_cid:
@@ -478,13 +460,12 @@ class DoubleHall:
 
     # ----- tensor helpers ---------------------------------------------------
 
-    def tensor_mult(self, tx: TensorElt, ty: TensorElt, plus: bool) -> TensorElt:
+    def tensor_mult(self, tx: TensorElt, ty: TensorElt) -> TensorElt:
         """Componentwise product of tensors of one-sided elements."""
-        mult = self.mult_plus if plus else self.mult_minus
         out: dict[tuple, Scalar] = {}
         for kx, cx in tx.terms.items():
             for ky, cy in ty.terms.items():
-                images = [mult(self.sym_elt(a), self.sym_elt(b)) for a, b in zip(kx, ky)]
+                images = [self.mult(self.sym_elt(a), self.sym_elt(b)) for a, b in zip(kx, ky)]
                 _acc_tensor(out, cx * cy, images)
         return TensorElt(out)
 
@@ -502,6 +483,16 @@ class DoubleHall:
 def _slot(s: BasisSym, plus: bool) -> ClassId:
     """The class of the sign's u-factor of a monomial."""
     return s.plus if plus else s.minus
+
+
+def _extend(x: _Linear, image) -> AlgElt:
+    """The linear map that sends each monomial or tensor key k to image(k),
+    applied to x."""
+    out: dict[BasisSym, Scalar] = {}
+    for key, c in x.terms.items():
+        for s, cs in image(key).terms.items():
+            _acc(out, s, c * cs)
+    return AlgElt(out)
 
 
 def _acc_tensor(store: dict, c, images):

@@ -340,7 +340,9 @@ def test_random_small_configs_exit_cleanly(text):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "random.cfg"
         cfg.write_text(text)
-        for command in ("classify", "hall-table"):
+        # sv and verify stay out: on the 3-arrow Kronecker quiver at q=3,
+        # bound (2,2), they take minutes.
+        for command in ("classify", "hall-table", "cartan", "roots"):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([command, "--config", str(cfg), "--format", "json"])

@@ -84,6 +84,11 @@ def test_truncation_error(jordan_q2):
         H.mult_plus(H.u_plus(big), H.u_plus(s))
     with pytest.raises(TruncationError):
         H.mult(H.u_minus(big), H.u_minus(s))
+    # A mixed product that leaves the bound only after straightening:
+    # (u_big^- u_s^+) u_s^- has the term u_big^- u_s^- of degree 5.
+    mixed = H.mult(H.u_minus(big), H.u_plus(s))
+    with pytest.raises(TruncationError):
+        H.mult(mixed, H.u_minus(s))
 
 
 # ----- comultiplication, counit, antipode ------------------------------------
@@ -340,16 +345,44 @@ def test_double_associativity_random():
         assert H.mult(H.mult(x, y), z) == H.mult(x, H.mult(y, z))
 
 
-def test_double_mult_respects_one_sided_products(a2_q2):
-    H = _H(a2_q2)
-    t = a2_q2
-    s1, s2 = t.simple_ids()
-    assert H.mult(H.u_plus(s1), H.u_plus(s2)) == H.mult_plus(
-        H.u_plus(s1), H.u_plus(s2)
-    )
-    assert H.mult(H.u_minus(s1), H.u_minus(s2)) == H.mult_minus(
-        H.u_minus(s1), H.u_minus(s2)
-    )
+@pytest.mark.parametrize(
+    "table, pairs", [("a2_q2", 57), ("kronecker_q2", 131), ("jordan_q2", 38)]
+)
+def test_sided_products_match_hall_numbers(table, pairs, request):
+    # Both sided products against the Hall numbers and the forms of the table:
+    #   K_mu u_a^+ * K_nu u_b^+ = v^(<a,b> - (nu,a)) sum_g hall(a,b,g) K_{mu+nu} u_g^+
+    #   u_a^- K_mu * u_b^- K_nu = v^(<a,b> - (mu,b)) sum_g hall(a,b,g) u_g^- K_{mu+nu}
+    # for every pair of classes inside the bound and mu, nu in {0, +-e_i}.
+    t = request.getfixturevalue(table)
+    H = _H(t)
+    zero = t.zero_id()
+    n = t.quiver.vertices
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    samples = [(0,) * n] + units + [tuple(-x for x in e) for e in units]
+    classes = [c.cid for mu in t.degrees() for c in t.classes(mu)]
+    checked = 0
+    for a in classes:
+        for b in classes:
+            d = tuple(x + y for x, y in zip(a[0], b[0]))
+            if any(x > y for x, y in zip(d, t.bound)):
+                continue
+            hall = [(g.cid, t.hall(a, b, g.cid)) for g in t.classes(d)]
+            e = t.euler(a[0], b[0])
+            for mu in samples:
+                for nu in samples:
+                    torus = tuple(x + y for x, y in zip(mu, nu))
+                    v_plus = t.field.v_pow(e - t.sym(nu, a[0]))
+                    v_minus = t.field.v_pow(e - t.sym(mu, b[0]))
+                    want_plus = AlgElt({BasisSym(zero, torus, g): v_plus * m for g, m in hall})
+                    want_minus = AlgElt({BasisSym(g, torus, zero): v_minus * m for g, m in hall})
+                    x = AlgElt({BasisSym(zero, mu, a): t.field.one})
+                    y = AlgElt({BasisSym(zero, nu, b): t.field.one})
+                    assert H.mult_plus(x, y) == want_plus, (a, b, mu, nu)
+                    x = AlgElt({BasisSym(a, mu, zero): t.field.one})
+                    y = AlgElt({BasisSym(b, nu, zero): t.field.one})
+                    assert H.mult_minus(x, y) == want_minus, (a, b, mu, nu)
+                    checked += 1
+    assert checked == pairs * len(samples) ** 2
 
 
 def test_green_compatibility_with_torus_factors(a2_q2):
@@ -360,12 +393,12 @@ def test_green_compatibility_with_torus_factors(a2_q2):
     x = AlgElt({BasisSym(zero, (1, -1), s1): H.field.one})
     y = AlgElt({BasisSym(zero, (0, 1), s2): H.field.scalar(2, 1)})
     assert H.comult_plus(H.mult_plus(x, y)) == H.tensor_mult(
-        H.comult_plus(x), H.comult_plus(y), plus=True
+        H.comult_plus(x), H.comult_plus(y)
     )
     xm = AlgElt({BasisSym(s1, (1, 0), zero): H.field.one})
     ym = AlgElt({BasisSym(s2, (-1, 1), zero): H.field.one})
     assert H.comult_minus(H.mult_minus(xm, ym)) == H.tensor_mult(
-        H.comult_minus(xm), H.comult_minus(ym), plus=False
+        H.comult_minus(xm), H.comult_minus(ym)
     )
 
 

@@ -742,6 +742,46 @@ def test_jordan_hall_numbers_match_macdonalds_vertical_strip_formula(q, n, tripl
     assert checked == triples
 
 
+def test_kronecker_rational_tube_matches_jordan_hall_numbers():
+    # The Kronecker modules (A, B) of dimension (k, k) with A invertible and
+    # A^-1 B nilpotent form the tube at one rational point of P^1, and
+    # (A, B) -> A^-1 B is an equivalence with the nilpotent Jordan modules.
+    # So Hall numbers inside the tube equal Jordan Hall numbers.  The class
+    # map goes through the Jordan table's classify, never through a Hall
+    # table, and the tube is closed under the subobjects of dimension (k, k).
+    q, n = 2, 3
+    kr = ClassTable(kronecker(), GroundField(q), (n, n))
+    jo = ClassTable(jordan(), GroundField(q), (n,))
+    tube = {kr.zero_id(): jo.zero_id()}
+    counts = []
+    for k in range(1, n + 1):
+        found = 0
+        for c in kr.classes((k, k)):
+            a, b = _as_tuples(c.rep.mats)
+            if not _is_invertible(a, q):
+                continue
+            nil = _mat_mul(_mat_inv_brute(a, q), b, q)
+            power = nil
+            for _ in range(k - 1):
+                power = _mat_mul(power, nil, q)
+            if any(any(row) for row in power):
+                continue
+            tube[c.cid] = jo.classify(Rep(jordan(), q, (k,), [nil]))
+            found += 1
+        counts.append(found)
+    assert counts == [1, 2, 3]  # at (1, 1) through (3, 3), after the zero class
+    assert sorted(tube.values()) == sorted(c.cid for mu in jo.degrees() for c in jo.classes(mu))
+    triples = 0
+    for g, jg in tube.items():
+        d = g[0][0]
+        for k in range(d + 1):
+            dist = kr.hall_distribution(g, (k, k))
+            got = {(tube[quot], tube[sub]): m for (quot, sub), m in dist.items()}
+            assert got == jo.hall_distribution(jg, (k,)), (g, k)
+            triples += len(got)
+    assert triples == 23
+
+
 def test_hall_zero_on_dimension_mismatch():
     t = ClassTable(jordan(), GroundField(2), (2,))
     s = t.simple_ids()[0]
