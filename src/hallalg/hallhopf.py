@@ -419,11 +419,7 @@ class DoubleHall:
                     f1 = self._phi_sym(t1, s1)
                     if not f1:
                         continue
-                    f3 = self.field.zero
-                    for sym, cc in self.antipode_minus(self.sym_elt(s3)).terms.items():
-                        v = self._phi_sym(t3, sym)
-                        if v:
-                            f3 = f3 + cc * v
+                    f3 = self.phi(self.sym_elt(t3), self.antipode_minus(self.sym_elt(s3)))
                     if not f3:
                         continue
                     sym = BasisSym(s2.minus, dim_add(s2.torus, t2.torus), t2.plus)
@@ -441,6 +437,11 @@ class DoubleHall:
         out: dict[BasisSym, Scalar] = {}
         for sx, cx in x.terms.items():
             for sy, cy in y.terms.items():
+                # _straighten gives these two middles as well, but only after
+                # building the double coproduct of every class it meets:
+                # without these branches `verify --suite sv` on Kronecker
+                # q=2 (3,3) builds 556 instead of 358 of them and runs 7-20%
+                # longer.
                 if sx.plus == self.zero_cid:
                     middle = ((BasisSym(sy.minus, self.zero_dim, self.zero_cid), self.field.one),)
                 elif sy.minus == self.zero_cid:

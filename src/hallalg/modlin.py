@@ -53,8 +53,6 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def rank(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
     return len(rref(a, p)[1])
 
 
@@ -76,8 +74,6 @@ def inverse(a: np.ndarray, p: int) -> np.ndarray:
     """Inverse of a square matrix mod p; raises ValueError if singular."""
     a = np.asarray(a, dtype=np.int64)
     n = a.shape[0]
-    if n == 0:
-        return a.copy()
     aug = np.concatenate([a % p, np.eye(n, dtype=np.int64)], axis=1)
     r, piv = rref(aug, p)
     if piv[:n] != tuple(range(n)):
@@ -86,9 +82,7 @@ def inverse(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def is_invertible(a: np.ndarray, p: int) -> bool:
-    a = np.asarray(a, dtype=np.int64)
-    n = a.shape[0]
-    return n == 0 or rank(a, p) == n
+    return rank(a, p) == np.shape(a)[0]
 
 
 def reduce_vector(basis: np.ndarray, piv: tuple[int, ...], v: np.ndarray, p: int) -> np.ndarray:
@@ -157,11 +151,6 @@ def subspace_bases(n: int, k: int, p: int):
     Bases are k x n rref matrices, produced in a fixed deterministic order
     (pivot set lexicographic, then free entries lexicographic).
     """
-    if k == 0:
-        yield np.zeros((0, n), dtype=np.int64), ()
-        return
-    if k > n:
-        return
     for piv in combinations(range(n), k):
         pivset = set(piv)
         slots = [

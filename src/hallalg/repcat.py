@@ -220,13 +220,8 @@ def ext_dim(m: Rep, n: Rep) -> int:
 
 def end_basis(m: Rep) -> list[tuple[np.ndarray, ...]]:
     """A basis of End(M) as tuples of per-vertex matrices."""
-    sysmat = _hom_system(m, m)
-    nvars = sum(d * d for d in m.dim)
-    if nvars == 0:
-        return []
-    null = modlin.nullspace(sysmat, m.q) if sysmat.shape[0] else np.eye(nvars, dtype=np.int64)
     basis = []
-    for vec in null:
+    for vec in modlin.nullspace(_hom_system(m, m), m.q):
         blocks = []
         off = 0
         for d in m.dim:
@@ -516,30 +511,24 @@ class ClassTable:
         included the orbit graph is undirected.  Duplicate maps are dropped.
         """
         p = self.q
-        shapes = self._shapes(mu)
-        n = sum(nt * ns for nt, ns in shapes)
-        basis = np.eye(n, dtype=np.int64)
-        blocks = []
-        off = 0
-        for nt, ns in shapes:
-            blocks.append(basis[:, off : off + nt * ns].reshape(n, nt, ns))
-            off += nt * ns
-        gens = []
-        if self.quiver.arrows:  # otherwise every dimension vector has one state
-            gens = [(v, g, gi) for v, d in enumerate(mu) for g, gi in modlin.gl_generators(d, p)]
+        n = sum(nt * ns for nt, ns in self._shapes(mu))
+        eye = [np.eye(d, dtype=np.int64) for d in mu]
         linears: dict[bytes, np.ndarray] = {}
-        for v, g, gi in gens:
-            for a, ai in ((g, gi), (gi, g)):
-                images = []
-                for (s, t), m in zip(self.quiver.arrows, blocks):
-                    if t == v:
-                        m = np.matmul(a, m) % p
-                    if s == v:
-                        m = np.matmul(m, ai) % p
-                    images.append(m.reshape(n, m.shape[1] * m.shape[2]))
-                # Row j holds the coefficients of entry j of the image.
-                linear = np.concatenate(images, axis=1).T
-                linears.setdefault(linear.tobytes(), linear)
+        for v, d in enumerate(mu):
+            for g, gi in modlin.gl_generators(d, p):
+                for a, ai in ((g, gi), (gi, g)):
+                    # Row j holds the coefficients of entry j of the image: the
+                    # block diagonal of (A kron B^T) per arrow, which maps a
+                    # row-major M to A M B.
+                    linear = np.zeros((n, n), dtype=np.int64)
+                    off = 0
+                    for s, t in self.quiver.arrows:
+                        size = mu[t] * mu[s]
+                        left = a if t == v else eye[t]
+                        right = ai if s == v else eye[s]
+                        linear[off : off + size, off : off + size] = np.kron(left, right.T) % p
+                        off += size
+                    linears.setdefault(linear.tobytes(), linear)
         # Entry j of map m, in image row order; an invertible map has no zero row.
         entries = [linear[j] for j in range(n) for linear in linears.values()]
         cols = [np.flatnonzero(e) for e in entries]
@@ -640,9 +629,8 @@ class ClassTable:
     def _ensure(self, mu: DimVec):
         if mu in self._mu:
             return
-        zero = self.quiver.zero_dim()
         codec = _KeyCodec(self.q, sum(nt * ns for nt, ns in self._shapes(mu)))
-        if mu == zero:
+        if mu == self.quiver.zero_dim():
             rep = Rep.zero(self.quiver, self.q, mu)
             cls = RepClass((mu, 0), rep, 1, 1, False)
             keys = codec.pack(np.zeros((codec.n, 1), dtype=np.uint8))
@@ -676,6 +664,21 @@ class ClassTable:
                 labels[keys.searchsorted(orbit[start : start + _CHUNK])] = new
             sizes.append(orbit.size)
         del orbits, orbit
+        self._nclasses += len(sizes)
+        if self._nclasses > self.max_classes:
+            raise LimitExceeded(
+                f"class count exceeds max_classes={self.max_classes} at dimension {mu}"
+            )
+        data = _MuData((), codec, keys, labels)
+        # Krull-Schmidt: a class is decomposable exactly when it has an
+        # indecomposable summand of a smaller nonzero dimension.
+        decomposable = set()
+        for nu in dims_below(mu)[1:-1]:
+            summands = [x for x in self.classes(nu) if x.indecomposable]
+            if summands:
+                rests = self.classes(dim_sub(mu, nu))
+                sums = [x.rep.direct_sum(y.rep).mats for x in summands for y in rests]
+                decomposable.update(data.lookup(_digits(sums)))
         group_order = 1
         for d in mu:
             group_order *= modlin.gl_order(d, self.q)
@@ -684,32 +687,9 @@ class ClassTable:
             assert group_order % size == 0
             rep = Rep(self.quiver, self.q, mu, self._mats_from_row(row, mu))
             classes.append(
-                RepClass((mu, new), rep, group_order // size, size, True)
+                RepClass((mu, new), rep, group_order // size, size, new not in decomposable)
             )
-        self._nclasses += len(classes)
-        if self._nclasses > self.max_classes:
-            raise LimitExceeded(
-                f"class count exceeds max_classes={self.max_classes} at dimension {mu}"
-            )
-        data = _MuData(tuple(classes), codec, keys, labels)
-        # Krull-Schmidt: a class is decomposable exactly when it is a direct
-        # sum of two smaller classes.
-        decomposable = set()
-        seen_pairs = set()
-        for nu in dims_below(mu):
-            if nu == zero or nu == mu:
-                continue
-            rest = dim_sub(mu, nu)
-            if (rest, nu) in seen_pairs:
-                continue
-            seen_pairs.add((nu, rest))
-            left, right = self.classes(nu), self.classes(rest)
-            sums = [a.rep.direct_sum(b.rep).mats for a in left for b in right]
-            decomposable.update(data.lookup(_digits(sums)))
-        data.classes = tuple(
-            RepClass(c.cid, c.rep, c.aut, c.orbit_size, c.cid[1] not in decomposable)
-            for c in classes
-        )
+        data.classes = tuple(classes)
         self._mu[mu] = data
 
     # ----- Hall numbers ---------------------------------------------------
@@ -727,9 +707,6 @@ class ClassTable:
             return self._hall_dist[cache_key]
         gdim = gamma[0]
         out: dict[tuple[ClassId, ClassId], int] = {}
-        if not dim_leq(sub_dim, gdim):
-            self._hall_dist[cache_key] = out
-            return out
         grep = self.cls(gamma).rep
         p = self.q
         quot_dim = dim_sub(gdim, sub_dim)
@@ -800,9 +777,7 @@ class ClassTable:
         if total != gamma[0]:
             out = 0
         elif not parts:
-            out = 1 if sum(gamma[0]) == 0 else 0
-        elif len(parts) == 1:
-            out = 1 if parts[0] == gamma else 0
+            out = 1
         else:
             first = parts[0]
             rest = parts[1:]

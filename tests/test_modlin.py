@@ -107,6 +107,27 @@ def test_subspace_bases_count_and_distinct():
                 assert len(spans) == len(bases)
 
 
+def test_subspace_bases_edge_dimensions():
+    for p in (2, 3):
+        assert list(modlin.subspace_bases(2, 3, p)) == []
+        for n in range(3):
+            ((b, piv),) = modlin.subspace_bases(n, 0, p)
+            assert b.shape == (0, n) and b.dtype == np.int64 and piv == ()
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_empty_matrices(shape):
+    a = np.zeros(shape, dtype=np.int64)
+    for p in (2, 3):
+        assert modlin.rank(a, p) == 0
+        # Every column is free: the null space is all of F_p^cols.
+        assert np.array_equal(modlin.nullspace(a, p), np.eye(shape[1], dtype=np.int64))
+        assert modlin.is_invertible(a, p) == (shape[0] == 0)
+    # inverse is defined on square matrices only.
+    inv = modlin.inverse(np.zeros((0, 0), dtype=np.int64), 2)
+    assert inv.shape == (0, 0) and inv.dtype == np.int64
+
+
 def test_reduce_vector_membership():
     b, piv = modlin.rref(np.array([[1, 1, 0], [0, 1, 1]]), 2)
     inside = modlin.reduce_vector(b, piv, np.array([1, 0, 1]), 2)

@@ -526,6 +526,14 @@ def test_ext_examples():
     assert ext_dim(s, zero) == 0
 
 
+def test_end_basis_of_zero_and_of_an_empty_hom_system():
+    assert repcat.end_basis(Rep.zero(kronecker(), 2, (0, 0))) == []
+    # Both arrows of the simple at the source have a zero-sized matrix, so
+    # the Hom system has no equations and End is the one scalar at vertex 1.
+    ((e1, e2),) = repcat.end_basis(Rep.simple(kronecker(), 2, 0))
+    assert np.array_equal(e1, np.eye(1, dtype=np.int64)) and e2.shape == (0, 0)
+
+
 def test_euler_equals_hom_minus_ext():
     for quiver, bound in ((jordan(), (2,)), (a2(), (2, 2)), (kronecker(), (1, 1))):
         t = ClassTable(quiver, GroundField(2), bound)
@@ -550,14 +558,25 @@ def test_indecomposable_examples():
 
 
 def test_table_flags_match_idempotent_scan():
-    for quiver, bound in ((jordan(), (3,)), (a2(), (2, 2)), (kronecker(), (1, 1))):
-        for q in (2, 3):
-            t = ClassTable(quiver, GroundField(q), bound)
-            for mu in t.degrees():
-                if sum(mu) == 0:
-                    continue
-                for c in t.classes(mu):
-                    assert c.indecomposable == is_indecomposable(c.rep)
+    cases = [
+        (quiver, q, bound)
+        for quiver, bound in ((jordan(), (3,)), (a2(), (2, 2)), (kronecker(), (1, 1)))
+        for q in (2, 3)
+    ]
+    # The table looks up only direct sums whose first summand is
+    # indecomposable; a larger Kronecker bound, a cycle and a Euclidean quiver.
+    cases += [
+        (kronecker(), 2, (2, 2)),
+        (Quiver(2, [(0, 1), (1, 0)]), 2, (2, 2)),
+        (Quiver(3, [(0, 1), (1, 2), (0, 2)]), 2, (1, 1, 1)),
+    ]
+    for quiver, q, bound in cases:
+        t = ClassTable(quiver, GroundField(q), bound)
+        for mu in t.degrees():
+            if sum(mu) == 0:
+                continue
+            for c in t.classes(mu):
+                assert c.indecomposable == is_indecomposable(c.rep)
 
 
 def test_kronecker_indecomposables_at_11():
@@ -786,3 +805,50 @@ def test_hall_zero_on_dimension_mismatch():
     t = ClassTable(jordan(), GroundField(2), (2,))
     s = t.simple_ids()[0]
     assert t.hall(s, s, s) == 0
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_x2_exceptional_tube_matches_c2_hall_numbers(q):
+    # The modules X1 -A12-> X2 -A23-> X3 <-A13- X1 of the Euclidean quiver
+    # A~_{2,1} with A13 invertible are, identifying X3 with X1 through A13,
+    # the modules of the oriented 2-cycle with V1 = X2, V2 = X1, arrow 1->2
+    # A13^-1 A23 and arrow 2->1 A12; the nilpotent ones are the exceptional
+    # tube of rank 2.  So its Hall numbers equal those of configs/tube2.cfg.
+    # Subobjects of dimension (s2, s1, s2) stay in the tube, and the class map
+    # goes through the C2 table's classify, never through a Hall table.
+    x2 = Quiver(3, [(0, 1), (1, 2), (0, 2)])
+    c2 = Quiver(2, [(0, 1), (1, 0)])
+    ax = ClassTable(x2, GroundField(q), (2, 2, 2))
+    cy = ClassTable(c2, GroundField(q), (2, 2))
+    tube = {ax.zero_id(): cy.zero_id()}
+    for v1, v2 in itertools.product(range(3), repeat=2):
+        if v1 + v2 == 0:
+            continue
+        for c in ax.classes((v2, v1, v2)):
+            a12, a23, a13 = _as_tuples(c.rep.mats)
+            if not _is_invertible(a13, q):
+                continue
+            b = _mat_mul(_mat_inv_brute(a13, q), a23, q)
+            # The cycle on V1 + V2 as one block matrix, nilpotent when its
+            # (v1 + v2)-th power vanishes.
+            cycle = tuple(
+                tuple(a12[i][j - v1] if j >= v1 else 0 for j in range(v1 + v2)) for i in range(v1)
+            ) + tuple(tuple(b[i][j] if j < v1 else 0 for j in range(v1 + v2)) for i in range(v2))
+            power = cycle
+            for _ in range(v1 + v2 - 1):
+                power = _mat_mul(power, cycle, q)
+            if any(any(row) for row in power):
+                continue
+            mats = [np.array(b, dtype=np.int64).reshape(v2, v1), np.array(a12).reshape(v1, v2)]
+            tube[c.cid] = cy.classify(Rep(c2, q, (v1, v2), mats))
+    assert sorted(tube.values()) == sorted(c.cid for mu in cy.degrees() for c in cy.classes(mu))
+    assert len(tube) == 26
+    checked = 0
+    for g, jg in tube.items():
+        v2, v1, _ = g[0]
+        for s1, s2 in itertools.product(range(v1 + 1), range(v2 + 1)):
+            dist = ax.hall_distribution(g, (s2, s1, s2))
+            got = {(tube[quot], tube[sub]): m for (quot, sub), m in dist.items()}
+            assert got == cy.hall_distribution(jg, (s1, s2)), (g, s1, s2)
+            checked += len(got)
+    assert checked == 147  # the same support at every q: Hall polynomials
