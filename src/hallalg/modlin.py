@@ -71,9 +71,12 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def inverse(a: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square matrix mod p; raises ValueError if singular."""
+    """Inverse of a square matrix mod p; raises ValueError if it is not
+    square or is singular."""
     a = np.asarray(a, dtype=np.int64)
     n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("matrix is not square")
     aug = np.concatenate([a % p, np.eye(n, dtype=np.int64)], axis=1)
     r, piv = rref(aug, p)
     if piv[:n] != tuple(range(n)):

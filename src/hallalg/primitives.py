@@ -70,29 +70,6 @@ def _scalar_rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int
     return rows[:r], piv
 
 
-def _scalar_nullspace(rows: list[list[Scalar]], ncols: int, field) -> list[list[Scalar]]:
-    red, piv = _scalar_rref(rows)
-    free = [c for c in range(ncols) if c not in piv]
-    out = []
-    for f in free:
-        vec = [field.zero for _ in range(ncols)]
-        vec[f] = field.one
-        for i, c in enumerate(piv):
-            vec[c] = -red[i][f]
-        out.append(vec)
-    return out
-
-
-def _coeff_vector(H: DoubleHall, x: AlgElt, order: list) -> list[Scalar]:
-    pos = {cid: k for k, cid in enumerate(order)}
-    vec = [H.field.zero for _ in order]
-    for sym, c in x.terms.items():
-        if sym.minus != H.zero_cid or any(sym.torus):
-            raise ValueError("expected a pure positive element without torus factors")
-        vec[pos[sym.plus]] = vec[pos[sym.plus]] + c
-    return vec
-
-
 def _from_vector(H: DoubleHall, vec: list[Scalar], order: list) -> AlgElt:
     return AlgElt(
         {
@@ -103,8 +80,27 @@ def _from_vector(H: DoubleHall, vec: list[Scalar], order: list) -> AlgElt:
     )
 
 
-def _degree_order(H: DoubleHall, theta: DimVec) -> list:
-    return [c.cid for c in H.table.classes(theta)]
+def _span_rows(H: DoubleHall, theta: DimVec):
+    """The classes of theta, and the rref rows and pivots of the products
+    u_a u_b over every split of theta into two nonzero degrees.
+
+    The product of two basis monomials is exactly the structure constants
+    of _u_product_terms, so each row is read off them directly.
+    """
+    _check_degree(H, theta)
+    order = [c.cid for c in H.table.classes(theta)]
+    pos = {cid: k for k, cid in enumerate(order)}
+    rows = []
+    for nu in dims_below(theta)[1:-1]:  # every 0 < nu < theta
+        rest = dim_sub(theta, nu)
+        for a in H.table.classes(nu):
+            for b in H.table.classes(rest):
+                row = [H.field.zero] * len(order)
+                for g, c in H._u_product_terms(a.cid, b.cid):
+                    row[pos[g]] = c
+                rows.append(row)
+    red, piv = _scalar_rref(rows)
+    return order, red, piv
 
 
 def decomposable_span(H: DoubleHall, theta) -> GradedSubspace:
@@ -112,38 +108,36 @@ def decomposable_span(H: DoubleHall, theta) -> GradedSubspace:
 
     Longer products are linear combinations of two-factor ones by
     associativity, so this is the whole degree-theta part of the subalgebra
-    generated below theta.
+    generated below theta.  The basis is the span's reduced row echelon form.
     """
     theta = tuple(theta)
-    _check_degree(H, theta)
-    order = _degree_order(H, theta)
-    rows = []
-    for nu in dims_below(theta):
-        if sum(nu) == 0 or nu == theta:
-            continue
-        rest = dim_sub(theta, nu)
-        for a in H.table.classes(nu):
-            for b in H.table.classes(rest):
-                prod = H.mult_plus(H.u_plus(a.cid), H.u_plus(b.cid))
-                rows.append(_coeff_vector(H, prod, order))
-    red, _ = _scalar_rref(rows)
+    order, red, _ = _span_rows(H, theta)
     return GradedSubspace(theta, tuple(_from_vector(H, r, order) for r in red))
 
 
 def primitive_space(H: DoubleHall, theta) -> GradedSubspace:
     """Orthogonal complement of the decomposable span under the diagonal
-    pairing; its dimension is the class count minus the span's rank."""
+    pairing; its dimension is the class count minus the span's rank.
+
+    The complement is the null space of R diag(1/aut), with R the span's
+    reduced row echelon form.  Scaling columns keeps the pivots, and dividing
+    row i by its pivot entry 1/aut(piv_i) makes R diag(1/aut) reduced again,
+    with entries R[i][c] aut(piv_i) / aut(c).  So free column f has the null
+    vector e_f - sum_i R[i][f] aut(piv_i) / aut(f) e_{piv_i}.
+    """
     theta = tuple(theta)
-    xi = decomposable_span(H, theta)
-    order = _degree_order(H, theta)
+    order, red, piv = _span_rows(H, theta)
     auts = [H.table.aut(cid) for cid in order]
-    rows = []
-    for b in xi.basis:
-        vec = _coeff_vector(H, b, order)
-        rows.append([c * Fraction(1, a) for c, a in zip(vec, auts)])
-    null = _scalar_nullspace(rows, len(order), H.field)
-    assert len(null) == len(order) - xi.dim
-    return GradedSubspace(theta, tuple(_from_vector(H, v, order) for v in null))
+    basis = []
+    for f in range(len(order)):
+        if f in piv:
+            continue
+        vec = [H.field.zero] * len(order)
+        vec[f] = H.field.one
+        for row, c in zip(red, piv):
+            vec[c] = -(row[f] * Fraction(auts[c], auts[f]))
+        basis.append(_from_vector(H, vec, order))
+    return GradedSubspace(theta, tuple(basis))
 
 
 def _check_degree(H: DoubleHall, theta: DimVec):
@@ -164,9 +158,8 @@ def is_primitive(H: DoubleHall, x: AlgElt, theta=None) -> bool:
         raise ValueError("input is not homogeneous of the stated degree")
     unit = BasisSym(H.zero_cid, H.zero_dim, H.zero_cid)
     ktheta = BasisSym(H.zero_cid, deg, H.zero_cid)
-    expect = TensorElt()
-    for sym, c in x.terms.items():
-        expect = expect + TensorElt({(sym, unit): c, (ktheta, sym): c})
+    expect = TensorElt({(sym, unit): c for sym, c in x.terms.items()})
+    expect = expect + TensorElt({(ktheta, sym): c for sym, c in x.terms.items()})
     return H.comult_plus(x) == expect
 
 

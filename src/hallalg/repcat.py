@@ -179,36 +179,28 @@ class Rep:
 
 
 def _hom_system(m: Rep, n: Rep) -> np.ndarray:
-    """Coefficient matrix of the intertwiner equations N_a f_s = f_t M_a."""
-    nv = m.quiver.vertices
-    offsets = []
-    off = 0
-    for i in range(nv):
-        offsets.append(off)
-        off += n.dim[i] * m.dim[i]
-    nvars = off
-    rows = []
+    """Coefficient matrix of the intertwiner equations N_a f_s = f_t M_a.
+
+    The unknowns are the entries of the maps f_i: M_i -> N_i, each row-major,
+    in vertex order.  An arrow s -> t gives one block row: the entries (r, c)
+    of N_a f_s - f_t M_a are (N_a kron I) f_s - (I kron M_a^T) f_t.
+    """
+    cuts = np.cumsum([0] + [a * b for a, b in zip(n.dim, m.dim)])
+    blocks = [np.zeros((0, cuts[-1]), dtype=np.int64)]
     for (s, t), ma, na in zip(m.quiver.arrows, m.mats, n.mats):
-        for r in range(n.dim[t]):
-            for c in range(m.dim[s]):
-                row = np.zeros(nvars, dtype=np.int64)
-                for k in range(n.dim[s]):
-                    row[offsets[s] + k * m.dim[s] + c] += na[r, k]
-                for k in range(m.dim[t]):
-                    row[offsets[t] + r * m.dim[t] + k] -= ma[k, c]
-                rows.append(row % m.q)
-    if not rows:
-        return np.zeros((0, nvars), dtype=np.int64)
-    return np.stack(rows)
+        block = np.zeros((n.dim[t] * m.dim[s], cuts[-1]), dtype=np.int64)
+        block[:, cuts[s] : cuts[s + 1]] += np.kron(na, np.eye(m.dim[s], dtype=np.int64))
+        block[:, cuts[t] : cuts[t + 1]] -= np.kron(np.eye(n.dim[t], dtype=np.int64), ma.T)
+        blocks.append(block)
+    return np.concatenate(blocks) % m.q
 
 
 def hom_dim(m: Rep, n: Rep) -> int:
     """dim_k Hom(M, N), by solving the intertwiner equations."""
     if m.quiver != n.quiver or m.q != n.q:
         raise ValueError("hom requires the same quiver and field")
-    nvars = sum(a * b for a, b in zip(n.dim, m.dim))
     sysmat = _hom_system(m, n)
-    return nvars - modlin.rank(sysmat, m.q)
+    return sysmat.shape[1] - modlin.rank(sysmat, m.q)
 
 
 def ext_dim(m: Rep, n: Rep) -> int:
@@ -220,15 +212,11 @@ def ext_dim(m: Rep, n: Rep) -> int:
 
 def end_basis(m: Rep) -> list[tuple[np.ndarray, ...]]:
     """A basis of End(M) as tuples of per-vertex matrices."""
-    basis = []
-    for vec in modlin.nullspace(_hom_system(m, m), m.q):
-        blocks = []
-        off = 0
-        for d in m.dim:
-            blocks.append(vec[off : off + d * d].reshape(d, d))
-            off += d * d
-        basis.append(tuple(blocks))
-    return basis
+    cuts = np.cumsum([d * d for d in m.dim])[:-1]
+    return [
+        tuple(b.reshape(d, d) for b, d in zip(np.split(vec, cuts), m.dim))
+        for vec in modlin.nullspace(_hom_system(m, m), m.q)
+    ]
 
 
 def _end_elements(m: Rep, max_states: int):
@@ -427,8 +415,6 @@ class ClassTable:
         self.max_classes = int(max_classes)
         self._mu: dict[DimVec, _MuData] = {}
         self._hall_dist: dict = {}
-        self._hall_multi: dict = {}
-        self._hom: dict = {}
         self._subspace_frames: dict = {}
         self._euler: dict = {}
         self._nclasses = 0
@@ -491,13 +477,9 @@ class ClassTable:
         return [(mu[t], mu[s]) for s, t in self.quiver.arrows]
 
     def _mats_from_row(self, row: np.ndarray, mu: DimVec) -> list[np.ndarray]:
-        flat = row.astype(np.int64)
-        mats = []
-        off = 0
-        for nt, ns in self._shapes(mu):
-            mats.append(flat[off : off + nt * ns].reshape(nt, ns))
-            off += nt * ns
-        return mats
+        shapes = self._shapes(mu)
+        cuts = np.cumsum([nt * ns for nt, ns in shapes])[:-1]
+        return [b.reshape(shape) for b, shape in zip(np.split(row.astype(np.int64), cuts), shapes)]
 
     def _state_maps(self, mu: DimVec) -> tuple[int, list]:
         """The base-change generators and their inverses as sparse maps on states.
@@ -768,32 +750,20 @@ class ClassTable:
         X_{k-1}/X_k isomorphic to M_{parts[k-1]}.
         """
         parts = tuple(parts)
-        key = (gamma, parts)
-        if key in self._hall_multi:
-            return self._hall_multi[key]
         total = self.quiver.zero_dim()
         for p in parts:
             total = dim_add(total, p[0])
         if total != gamma[0]:
-            out = 0
-        elif not parts:
-            out = 1
-        else:
-            first = parts[0]
-            rest = parts[1:]
-            out = 0
-            dist = self.hall_distribution(gamma, dim_sub(gamma[0], first[0]))
-            for (quot_cid, sub_cid), g in dist.items():
-                if quot_cid == first:
-                    out += g * self.hall_multi(sub_cid, rest)
-        self._hall_multi[key] = out
-        return out
+            return 0
+        if not parts:
+            return 1
+        first, rest = parts[0], parts[1:]
+        dist = self.hall_distribution(gamma, dim_sub(gamma[0], first[0]))
+        return sum(g * self.hall_multi(sub_cid, rest)
+                   for (quot_cid, sub_cid), g in dist.items() if quot_cid == first)
 
     def hom(self, a: ClassId, b: ClassId) -> int:
-        key = (a, b)
-        if key not in self._hom:
-            self._hom[key] = hom_dim(self.cls(a).rep, self.cls(b).rep)
-        return self._hom[key]
+        return hom_dim(self.cls(a).rep, self.cls(b).rep)
 
     def __repr__(self):
         return (

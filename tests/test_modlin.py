@@ -53,6 +53,9 @@ def test_inverse():
             assert np.array_equal((a @ inv) % p, np.eye(3, dtype=np.int64))
     with pytest.raises(ValueError):
         modlin.inverse(np.zeros((2, 2), dtype=np.int64), 2)
+    for shape in ((3, 0), (2, 3)):
+        with pytest.raises(ValueError):
+            modlin.inverse(np.zeros(shape, dtype=np.int64), 2)
 
 
 def test_gl_order_by_enumeration():

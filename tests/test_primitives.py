@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hallalg import ClassTable, DoubleHall, GroundField
+from hallalg import ClassTable, DoubleHall, GroundField, Quiver
 from hallalg.cli import main
 from hallalg.primitives import (
     decomposable_span,
@@ -100,6 +100,33 @@ def test_rank_nullity_everywhere(kronecker_q2):
         assert xi.dim + lsp.dim == t.class_count(theta)
         for x in lsp.basis:
             assert is_primitive(H, x, theta)
+
+
+@pytest.mark.parametrize(
+    "quiver, q, bound",
+    [
+        (kronecker(), 2, (2, 2)),
+        (jordan(), 2, (4,)),
+        (Quiver(2, [(0, 1), (1, 0)]), 2, (2, 2)),
+        (Quiver(3, [(0, 1), (1, 2), (0, 2)]), 2, (1, 1, 1)),
+        (kronecker(), 3, (1, 1)),
+    ],
+    ids=["kronecker-q2", "jordan-q2", "c2-q2", "x2-q2", "kronecker-q3"],
+)
+def test_primitive_space_is_psi_orthogonal_to_the_decomposable_span(quiver, q, bound):
+    """On the positive algebra psi is the diagonal pairing, so every
+    primitive basis vector pairs to zero with every decomposable one, and
+    the two dimensions add up to the class count."""
+    H = _H(ClassTable(quiver, GroundField(q), bound))
+    for theta in H.table.degrees():
+        if sum(theta) < 2:
+            continue
+        xi = decomposable_span(H, theta)
+        lsp = primitive_space(H, theta)
+        assert xi.dim + lsp.dim == H.table.class_count(theta)
+        for x in lsp.basis:
+            for y in xi.basis:
+                assert not H.psi(x, y)
 
 
 def test_extend_datum_jordan():

@@ -534,6 +534,51 @@ def test_end_basis_of_zero_and_of_an_empty_hom_system():
     assert np.array_equal(e1, np.eye(1, dtype=np.int64)) and e2.shape == (0, 0)
 
 
+def _intertwines(quiver, q, m, n, f):
+    """Whether the vertex maps f[i]: M_i -> N_i satisfy N_a f_s = f_t M_a."""
+    for (s, t), ma, na in zip(quiver.arrows, m.mats, n.mats):
+        for r in range(n.dim[t]):
+            for c in range(m.dim[s]):
+                left = sum(int(na[r][k]) * int(f[s][k][c]) for k in range(n.dim[s]))
+                right = sum(int(f[t][r][k]) * int(ma[k][c]) for k in range(m.dim[t]))
+                if (left - right) % q:
+                    return False
+    return True
+
+
+def _brute_hom_count(quiver, q, m, n):
+    """|Hom(M, N)|, by enumerating every tuple of vertex maps."""
+    shapes = [(b, a) for a, b in zip(m.dim, n.dim)]
+    count = 0
+    for entries in itertools.product(range(q), repeat=sum(r * c for r, c in shapes)):
+        it = iter(entries)
+        f = [[[next(it) for _ in range(c)] for _ in range(r)] for r, c in shapes]
+        count += _intertwines(quiver, q, m, n, f)
+    return count
+
+
+@pytest.mark.parametrize(
+    "quiver, q, bound",
+    [
+        (jordan(), 2, (2,)),
+        (jordan(), 3, (2,)),
+        (kronecker(), 2, (1, 1)),
+        (Quiver(2, [(0, 1), (1, 0)]), 2, (1, 1)),
+        (Quiver(2, [(0, 0), (0, 1)]), 2, (1, 1)),
+        (Quiver(3, [(0, 1), (1, 2), (0, 2)]), 2, (1, 1, 1)),
+    ],
+    ids=["jordan-q2", "jordan-q3", "kronecker-q2", "c2-q2", "loop-arrow-q2", "x2-q2"],
+)
+def test_hom_dim_and_end_basis_match_brute_force_intertwiners(quiver, q, bound):
+    t = ClassTable(quiver, GroundField(q), bound)
+    reps = [c.rep for mu in t.degrees() for c in t.classes(mu)]
+    for m in reps:
+        for f in repcat.end_basis(m):
+            assert _intertwines(quiver, q, m, m, f)
+        for n in reps:
+            assert _brute_hom_count(quiver, q, m, n) == q ** hom_dim(m, n)
+
+
 def test_euler_equals_hom_minus_ext():
     for quiver, bound in ((jordan(), (2,)), (a2(), (2, 2)), (kronecker(), (1, 1))):
         t = ClassTable(quiver, GroundField(2), bound)
