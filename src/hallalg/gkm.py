@@ -1,10 +1,10 @@
 """Borcherds data, Cartan matrices, Weyl reflections, and height-bounded
 root system enumeration.
 
-The index set of a datum is an ordered tuple of opaque labels (vertex
-numbers for the datum of a class table, (theta, p) pairs after
-enlargement); the symmetric bilinear form is stored as an integer Gram
-matrix over those labels.
+The index set of a datum is an ordered tuple of opaque labels (positions
+in the table's simple classes for the datum of a class table, (theta, p)
+pairs after enlargement); the symmetric bilinear form is stored as an
+integer Gram matrix over those labels.
 """
 
 from __future__ import annotations
@@ -59,17 +59,6 @@ class BorcherdsDatum:
     def size(self) -> int:
         return len(self.labels)
 
-    def pairing(self, x: Vec, y: Vec) -> int:
-        out = 0
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.gram[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    out += xi * row[j] * yj
-        return out
-
 
 @dataclass(frozen=True)
 class CartanMatrix:
@@ -91,14 +80,12 @@ class CartanMatrix:
 
 
 def datum_from_table(table: ClassTable) -> BorcherdsDatum:
-    """The Borcherds datum of a class table: vertex simples with the
-    symmetric Euler form."""
-    n = table.quiver.vertices
-    units = [table.quiver.unit_dim(i) for i in range(n)]
-    gram = tuple(
-        tuple(table.sym(units[i], units[j]) for j in range(n)) for i in range(n)
-    )
-    return BorcherdsDatum(tuple(range(n)), gram)
+    """The Borcherds datum of a class table: its simple classes
+    (`ClassTable.simple_ids`), labelled by position, with the symmetric
+    Euler form of their dimension vectors."""
+    degrees = [cid[0] for cid in table.simple_ids()]
+    gram = tuple(tuple(table.sym(a, b) for b in degrees) for a in degrees)
+    return BorcherdsDatum(tuple(range(len(degrees))), gram)
 
 
 def cartan_from_datum(d: BorcherdsDatum) -> CartanMatrix:

@@ -167,36 +167,20 @@ def is_primitive(H: DoubleHall, x: AlgElt, theta=None) -> bool:
 class ExtendedDatum:
     """The enlarged Borcherds datum together with its new generators.
 
-    Labels are vertex numbers for the original indices and (theta, p)
-    pairs, ordered by increasing total degree then lexicographic theta,
-    for the adjoined ones.
+    Labels are positions in the table's simple classes for the original
+    indices and (theta, p) pairs, ordered by increasing total degree then
+    lexicographic theta, for the adjoined ones.  degrees[k] is the dimension
+    vector of label k: the simples' dimensions, then theta for each
+    (theta, p).
     """
 
     base: BorcherdsDatum
     datum: BorcherdsDatum
     cartan: CartanMatrix
+    degrees: tuple
     new_labels: tuple
     generators: dict
     records: tuple
-
-    def project(self, label) -> DimVec:
-        """The degree in ZI of a label of the enlarged index set."""
-        if isinstance(label, int):
-            n = len(self.base.labels)
-            return tuple(1 if k == label else 0 for k in range(n))
-        return tuple(label[0])
-
-    def project_vector(self, vec) -> DimVec:
-        """Push an integer vector over the enlarged index set down to ZI."""
-        n = len(self.base.labels)
-        out = [0] * n
-        for coeff, label in zip(vec, self.datum.labels):
-            if not coeff:
-                continue
-            img = self.project(label)
-            for k in range(n):
-                out[k] += coeff * img[k]
-        return tuple(out)
 
 
 def extend_datum(H: DoubleHall) -> ExtendedDatum:
@@ -204,7 +188,6 @@ def extend_datum(H: DoubleHall) -> ExtendedDatum:
     up to the table bound, with the pulled-back bilinear form."""
     table = H.table
     base = datum_from_table(table)
-    n = table.quiver.vertices
     new_labels = []
     generators: dict = {}
     records = []
@@ -218,15 +201,14 @@ def extend_datum(H: DoubleHall) -> ExtendedDatum:
             label = (theta, p)
             new_labels.append(label)
             generators[label] = gen
-    labels = tuple(range(n)) + tuple(new_labels)
-    # The degree of each label, as ExtendedDatum.project gives it.
-    degrees = [table.quiver.unit_dim(i) for i in range(n)] + [t for t, _ in new_labels]
+    degrees = tuple(cid[0] for cid in table.simple_ids()) + tuple(t for t, _ in new_labels)
     gram = tuple(tuple(table.sym(a, b) for b in degrees) for a in degrees)
-    datum = BorcherdsDatum(labels, gram)
+    datum = BorcherdsDatum(base.labels + tuple(new_labels), gram)
     return ExtendedDatum(
         base=base,
         datum=datum,
         cartan=cartan_from_datum(datum),
+        degrees=degrees,
         new_labels=tuple(new_labels),
         generators=generators,
         records=tuple(records),

@@ -426,7 +426,7 @@ class ClassTable:
 
     def classes(self, mu) -> tuple[RepClass, ...]:
         mu = tuple(int(x) for x in mu)
-        if not dim_leq(mu, self.bound):
+        if len(mu) != len(self.bound) or min(mu) < 0 or not dim_leq(mu, self.bound):
             raise ValueError(f"dimension {mu} outside table bound {self.bound}")
         self._ensure(mu)
         return self._mu[mu].classes
@@ -576,12 +576,15 @@ class ClassTable:
         (a top composition factor) by a smaller class, so extending each
         class of mu - e_i by a new basis vector at vertex i hits every
         orbit.  The free entries (the new column of each arrow leaving i)
-        run through F_q in itertools.product order.
+        run through F_q in itertools.product order.  The zero dimension has
+        the one empty state.
         """
         q = self.q
         arrows = self.quiver.arrows
         shapes = self._shapes(mu)
         n = sum(nt * ns for nt, ns in shapes)
+        if not any(mu):
+            yield np.zeros((n, 1), dtype=np.uint8)
         for i in range(self.quiver.vertices):
             if mu[i] == 0:
                 continue
@@ -612,13 +615,6 @@ class ClassTable:
         if mu in self._mu:
             return
         codec = _KeyCodec(self.q, sum(nt * ns for nt, ns in self._shapes(mu)))
-        if mu == self.quiver.zero_dim():
-            rep = Rep.zero(self.quiver, self.q, mu)
-            cls = RepClass((mu, 0), rep, 1, 1, False)
-            keys = codec.pack(np.zeros((codec.n, 1), dtype=np.uint8))
-            self._mu[mu] = _MuData((cls,), codec, keys, np.zeros(1, dtype=np.uint8))
-            self._nclasses += 1
-            return
         maps = self._state_maps(mu)
         orbits: list[np.ndarray] = []
         nstates = 0
@@ -669,7 +665,7 @@ class ClassTable:
             assert group_order % size == 0
             rep = Rep(self.quiver, self.q, mu, self._mats_from_row(row, mu))
             classes.append(
-                RepClass((mu, new), rep, group_order // size, size, new not in decomposable)
+                RepClass((mu, new), rep, group_order // size, size, any(mu) and new not in decomposable)
             )
         data.classes = tuple(classes)
         self._mu[mu] = data

@@ -257,9 +257,8 @@ def _n2(cid) -> str:
 
 
 def _generator_constants(table: ClassTable, H: DoubleHall):
-    """Images of the Chevalley-type generators inside the double."""
-    datum = gkm.datum_from_table(table)
-    cartan = gkm.cartan_from_datum(datum)
+    """Degrees and images of the Chevalley-type generators inside the double."""
+    cartan = gkm.cartan_from_datum(gkm.datum_from_table(table))
     simples = table.simple_ids()
     es = {}
     fs = {}
@@ -268,7 +267,7 @@ def _generator_constants(table: ClassTable, H: DoubleHall):
         # (v^(2 dim End) - 1)/(v_i^-1 - v_i), with v_i = v, is -v_i too.
         es[i] = H.u_plus(cid)
         fs[i] = H.u_minus(cid).scaled(-H.field.v_pow(int(cartan.eps[i])))
-    return datum, cartan, es, fs
+    return [cid[0] for cid in simples], cartan, es, fs
 
 
 def suite_composition(table: ClassTable) -> CheckReport:
@@ -276,12 +275,11 @@ def suite_composition(table: ClassTable) -> CheckReport:
     generator images inside the double, where degrees fit the bound."""
     rep = CheckReport("composition")
     H = DoubleHall(table)
-    datum, cartan, es, fs = _generator_constants(table, H)
-    n = table.quiver.vertices
-    units = [table.quiver.unit_dim(i) for i in range(n)]
+    degrees, cartan, es, fs = _generator_constants(table, H)
+    n = len(degrees)
     samples = _torus_samples(table)
 
-    rep.check("K0=1", H.torus((0,) * n), H.one())
+    rep.check("K0=1", H.torus(table.quiver.zero_dim()), H.one())
     for mu in samples:
         for nu in samples:
             rep.check(
@@ -291,7 +289,7 @@ def suite_composition(table: ClassTable) -> CheckReport:
             )
     for i in range(n):
         for mu in samples:
-            pair = datum.pairing(mu, units[i])
+            pair = table.sym(mu, degrees[i])
             for side, x, sign in (("E", es[i], 1), ("F", fs[i], -1)):
                 rep.check(
                     f"K-{side}-commute[{mu};{i}]",
@@ -305,7 +303,7 @@ def suite_composition(table: ClassTable) -> CheckReport:
                 eps = int(cartan.eps[i])
                 vi = H.field.v_pow(eps)
                 den = vi - vi.inv()
-                rhs = (H.torus(units[i]) - H.torus(tuple(-u for u in units[i]))).scaled(
+                rhs = (H.torus(degrees[i]) - H.torus(tuple(-u for u in degrees[i]))).scaled(
                     den.inv()
                 )
             else:
@@ -317,7 +315,7 @@ def suite_composition(table: ClassTable) -> CheckReport:
             if i == j:
                 continue
             m = 1 - cartan.entries[i][j]
-            need = dim_add(tuple(m * u for u in units[i]), units[j])
+            need = dim_add(tuple(m * u for u in degrees[i]), degrees[j])
             eps = int(cartan.eps[i])
             for side, gens in sides:
                 name = f"serre-{side}[{i};{j}]"
@@ -331,7 +329,7 @@ def suite_composition(table: ClassTable) -> CheckReport:
         for j in range(n):
             if cartan.entries[i][j] != 0 or j < i:
                 continue
-            need = dim_add(units[i], units[j])
+            need = dim_add(degrees[i], degrees[j])
             if not dim_leq(need, table.bound):
                 rep.skip(f"commuting[{i};{j}]", f"needs dimension {need}")
                 continue
@@ -372,6 +370,7 @@ def suite_sv(table: ClassTable) -> CheckReport:
         return rep
     rep.expect("extended-datum-axioms", True)
     g = ext.datum.gram
+    degrees = ext.degrees
     size = ext.datum.size
     n_base = len(ext.base.labels)
     for i in range(size):
@@ -396,9 +395,7 @@ def suite_sv(table: ClassTable) -> CheckReport:
                 )
     base_cartan = gkm.cartan_from_datum(ext.base)
     freg = gkm.fundamental_region(base_cartan, sum(table.bound))
-    imag_units = {
-        i: table.quiver.unit_dim(i) for i in base_cartan.imaginary_indices()
-    }
+    imag_degrees = [degrees[i] for i in base_cartan.imaginary_indices()]
     for theta, nclasses, xi_dim, lsp in ext.records:
         rep.check(
             f"rank-nullity[{theta}]",
@@ -413,9 +410,10 @@ def suite_sv(table: ClassTable) -> CheckReport:
             )
         if lsp.dim:
             in_freg = theta in freg
-            s = sum(theta)
-            in_multiples = s >= 2 and any(
-                theta == tuple(s * u for u in unit) for unit in imag_units.values()
+            in_multiples = any(
+                theta == tuple(k * u for u in d)
+                for d in imag_degrees
+                for k in range(2, sum(theta) + 1)
             )
             rep.expect(
                 f"degree-located[{theta}]",
@@ -434,25 +432,21 @@ def suite_sv(table: ClassTable) -> CheckReport:
     # Projection intertwines the reflections.
     for i in base_cartan.real_indices():
         for k, label in enumerate(ext.datum.labels):
-            reflected = [0] * ext.datum.size
-            reflected[k] = 1
-            reflected[i] -= ext.cartan.entries[i][k]
-            lhs = ext.project_vector(reflected)
-            rhs = gkm.reflect(base_cartan, i, ext.project(label))
+            a = ext.cartan.entries[i][k]
+            lhs = tuple(d - a * e for d, e in zip(degrees[k], degrees[i]))
+            rhs = gkm.reflect(base_cartan, i, degrees[k])
             rep.check(f"projection-reflection[{i};{label}]", lhs, rhs)
     # Serre relations of real simples against the new generators, and
     # commuting relations among new generators with orthogonal degrees.
     simples = table.simple_ids()
     for i in base_cartan.real_indices():
-        ei = table.quiver.unit_dim(i)
         eps = int(base_cartan.eps[i])
         xi = H.u_plus(simples[i])
         yi = H.u_minus(simples[i])
-        for label in ext.new_labels:
-            theta = tuple(label[0])
-            cij = 2 * ext.base.pairing(ei, theta) // ext.base.pairing(ei, ei)
-            m = 1 - cij
-            need = dim_add(tuple(m * u for u in ei), theta)
+        for k in range(n_base, size):
+            label = ext.datum.labels[k]
+            m = 1 - ext.cartan.entries[i][k]
+            need = dim_add(tuple(m * u for u in degrees[i]), degrees[k])
             if not dim_leq(need, table.bound):
                 rep.skip(f"serre-new[{i};{label}]", f"needs dimension {need}")
                 continue
@@ -463,12 +457,12 @@ def suite_sv(table: ClassTable) -> CheckReport:
                     _serre_sum(H, x, y, m, eps),
                     AlgElt(),
                 )
-    for a_idx, la in enumerate(ext.new_labels):
-        for lb in ext.new_labels[a_idx + 1 :]:
-            ta, tb = tuple(la[0]), tuple(lb[0])
-            if ext.base.pairing(ta, tb) != 0:
+    for a in range(n_base, size):
+        for b in range(a + 1, size):
+            if g[a][b] != 0:
                 continue
-            need = dim_add(ta, tb)
+            la, lb = ext.datum.labels[a], ext.datum.labels[b]
+            need = dim_add(degrees[a], degrees[b])
             if not dim_leq(need, table.bound):
                 rep.skip(f"commuting-new[{la};{lb}]", f"needs dimension {need}")
                 continue
@@ -498,11 +492,11 @@ def suite_kac(table: ClassTable, height: int) -> CheckReport:
     datum = gkm.datum_from_table(table)
     cartan = gkm.cartan_from_datum(datum)
     roots = gkm.positive_roots(cartan, height)
-    seeds = []
-    for i in cartan.imaginary_indices():
-        unit = table.quiver.unit_dim(i)
-        for s in range(2, height + 1):
-            seeds.append(tuple(s * u for u in unit))
+    seeds = [
+        tuple(s if k == i else 0 for k in range(cartan.size))
+        for i in cartan.imaginary_indices()
+        for s in range(2, height + 1)
+    ]
     orbit = gkm.weyl_orbit(cartan, seeds, height)
     root_side = {r.vector for r in roots} | orbit
     indec_side = {mu for mu in up_to_height if table.indec_count(mu) > 0}

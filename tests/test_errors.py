@@ -48,6 +48,14 @@ def test_table_bound_validation():
         t.classes((2, 2))
 
 
+def test_classes_rejects_malformed_dimension():
+    """A wrong-length or negative vector is a domain error, not a numpy one."""
+    t = ClassTable(jordan(), GroundField(2), (2,))
+    for mu in ((1, 2), (-1,), ()):
+        with pytest.raises(ValueError, match="outside table bound"):
+            t.classes(mu)
+
+
 def test_direct_sum_requires_same_context():
     m = Rep.simple(a2(), 2, 0)
     n = Rep.simple(jordan(), 2, 0)

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from hallalg import ClassTable, DoubleHall, GroundField, Quiver
-from hallalg.cli import main
+from hallalg.cli import main, parse_config
+from hallalg.gkm import datum_from_table
 from hallalg.primitives import (
     decomposable_span,
     extend_datum,
@@ -156,11 +157,21 @@ def test_extend_datum_kronecker():
 
 
 def test_projection():
+    """Each label's degree: the simples' dimensions, then theta per (theta, p)."""
     ext = extend_datum(_H(ClassTable(kronecker(), GroundField(2), (1, 1))))
-    assert ext.project(0) == (1, 0)
-    assert ext.project(((1, 1), 2)) == (1, 1)
-    vec = [1, 0, 2, 0]
-    assert ext.project_vector(vec) == (3, 2)
+    assert ext.degrees == ((1, 0), (0, 1), (1, 1), (1, 1))
+
+
+@pytest.mark.parametrize("config", sorted(p.stem for p in CONFIGS.glob("*.cfg")))
+def test_datum_is_read_off_the_simple_classes(config):
+    """The Gram matrix is the symmetric Euler form on the simples' dimensions,
+    and the enlarged datum's degrees are those, then theta per new label."""
+    t = parse_config((CONFIGS / f"{config}.cfg").read_text()).table()
+    d = [cid[0] for cid in t.simple_ids()]
+    gram = datum_from_table(t).gram
+    assert all(gram[i][j] == t.sym(a, b) for i, a in enumerate(d) for j, b in enumerate(d))
+    ext = extend_datum(_H(t))
+    assert ext.degrees == tuple(d) + tuple(theta for theta, _ in ext.new_labels)
 
 
 @pytest.mark.parametrize("q", [2, 3])
