@@ -49,6 +49,8 @@ MAX_FIELD_SIZE = 251
 _NATIVE_KEY_BITS = 64
 # Orbit states are expanded and labelled, and candidates generated, this many rows at a time.
 _CHUNK = 1 << 15
+# Native keys of at most this many bits are walked against a visited bitmap (8 MiB at most).
+_BITMAP_KEY_BITS = 26
 
 
 class LimitExceeded(RuntimeError):
@@ -295,11 +297,14 @@ class _KeyCodec:
     def __init__(self, q: int, n: int):
         self.n = n
         self.bits = max(1, (q - 1).bit_length())
-        self.nbytes = (n * self.bits + 7) // 8
-        self.pad = 8 * self.nbytes - n * self.bits
-        self.native = n * self.bits <= _NATIVE_KEY_BITS
+        self.width = n * self.bits
+        self.nbytes = (self.width + 7) // 8
+        self.pad = 8 * self.nbytes - self.width
+        self.native = self.width <= _NATIVE_KEY_BITS
+        # Orbits of narrow native keys are walked against a bitmap with a bit per key.
+        self.bitmapped = self.native and self.width <= _BITMAP_KEY_BITS
         if self.native:
-            self.dtype = np.min_scalar_type((1 << (n * self.bits)) - 1)
+            self.dtype = np.min_scalar_type((1 << self.width) - 1)
             self.shifts = np.arange(n - 1, -1, -1, dtype=self.dtype) * self.dtype.type(self.bits)
         else:
             self.dtype = np.dtype(f"V{self.nbytes}")
@@ -325,11 +330,21 @@ class _KeyCodec:
         rows = keys.shape[0]
         if self.native:
             mask = self.dtype.type((1 << self.bits) - 1)
-            return ((keys >> self.shifts[:, None]) & mask).astype(np.uint8)
+            digits = np.empty((self.n, rows), dtype=np.uint8)
+            for part in _slices(self.n, rows):
+                digits[part] = keys >> self.shifts[part, None] & mask
+            return digits
         bits = np.unpackbits(keys.view(np.uint8).reshape(rows, self.nbytes), axis=1)
         full = np.zeros((rows, self.n, 8), dtype=np.uint8)
         full[:, :, 8 - self.bits :] = bits[:, self.pad :].reshape(rows, self.n, self.bits)
         return np.packbits(full, axis=2).reshape(rows, self.n).T
+
+
+def _slices(rows: int, cols: int) -> list[slice]:
+    """Slices of the rows of a (rows, cols) block, each of at most _CHUNK entries
+    unless one row is longer, so that the temporaries of a batch stay small."""
+    step = max(1, _CHUNK // max(cols, 1))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 def _digits(reps) -> np.ndarray:
@@ -359,6 +374,66 @@ def _unique(keys: np.ndarray) -> np.ndarray:
     keep = np.ones(keys.size, dtype=bool)
     keep[1:] = keys[1:] != keys[:-1]
     return keys[keep]
+
+
+def _visited(bitmap: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which native keys have their bit set: bit k & 7 of byte k >> 3."""
+    return ((bitmap[keys >> 3] >> (keys & 7)) & 1) != 0
+
+
+def _visit(bitmap: np.ndarray, keys: np.ndarray):
+    """Set the bits of the sorted distinct native keys."""
+    if keys.size:
+        byte = keys >> 3
+        first = np.flatnonzero(np.concatenate([[True], byte[1:] != byte[:-1]]))
+        bits = (1 << (keys & 7)).astype(np.uint8)
+        bitmap[byte[first]] |= np.bitwise_or.reduceat(bits, first)
+
+
+def _append(states: np.ndarray, count: int, new: np.ndarray) -> int:
+    """Write new after the first count keys of states, growing it in place; the new count."""
+    end = count + new.size
+    if end > states.size:
+        # A reallocation in place: no view of states outlives the statement that made it.
+        states.resize(end + _CHUNK, refcheck=False)
+    states[count:end] = new
+    return end
+
+
+def _labelled(codec: _KeyCodec, states: np.ndarray, starts: list[int]):
+    """The sorted keys of states with their class labels, then each class's
+    least key and orbit size, in label order.
+
+    Orbit i is states[starts[i]:starts[i+1]], sorted; its label is the rank
+    of its least key.  When the labels fit in the bits that the key dtype
+    leaves spare, each key becomes key << lbits | label in place and one
+    sort orders keys and labels together.  Otherwise the keys are a sorted
+    copy and each orbit is labelled by searchsorted in slices of at most
+    _CHUNK.
+    """
+    ends = starts[1:] + [states.size]
+    mins = states[starts]
+    order = np.argsort(mins, kind="stable")
+    rank = np.empty(order.size, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    labels_dtype = np.min_scalar_type(len(starts) - 1)
+    lbits = (len(starts) - 1).bit_length()
+    if codec.native and codec.width + lbits <= 8 * states.itemsize:
+        keys = states
+        keys <<= lbits
+        for label, a, b in zip(rank.tolist(), starts, ends):
+            keys[a:b] |= label
+        keys.sort()
+        labels = keys.astype(labels_dtype)
+        labels &= (1 << lbits) - 1
+        keys >>= lbits
+    else:
+        keys = np.sort(states, kind="stable")
+        labels = np.empty(keys.size, dtype=labels_dtype)
+        for label, a, b in zip(rank.tolist(), starts, ends):
+            for start in range(a, b, _CHUNK):
+                labels[keys.searchsorted(states[start : min(start + _CHUNK, b)])] = label
+    return keys, labels, mins[order], np.subtract(ends, starts)[order].tolist()
 
 
 @dataclass
@@ -481,16 +556,18 @@ class ClassTable:
         cuts = np.cumsum([nt * ns for nt, ns in shapes])[:-1]
         return [b.reshape(shape) for b, shape in zip(np.split(row.astype(np.int64), cuts), shapes)]
 
-    def _state_maps(self, mu: DimVec) -> tuple[int, list]:
-        """The base-change generators and their inverses as sparse maps on states.
+    def _state_maps(self, mu: DimVec, inverses: bool) -> tuple[int, list]:
+        """The base-change generators, and their inverses if asked, as sparse
+        maps on states.
 
         Returns (nmaps, terms).  The images of a digit-major block of states
         under all maps are a block of n * nmaps rows, row j * nmaps + m being
         entry j of the images under map m.  That row is the sum over the
         terms (dst, src, coef) of coef[i] * digits[src[i]] mod q, where dst[i]
         is the row; term 0 covers every row in order, later terms only the
-        rows with more nonzero coefficients.  With the inverses
-        included the orbit graph is undirected.  Duplicate maps are dropped.
+        rows with more nonzero coefficients.  The sorted walk asks for the
+        inverses, which make its orbit graph undirected.  Duplicate maps are
+        dropped.
         """
         p = self.q
         n = sum(nt * ns for nt, ns in self._shapes(mu))
@@ -498,7 +575,7 @@ class ClassTable:
         linears: dict[bytes, np.ndarray] = {}
         for v, d in enumerate(mu):
             for g, gi in modlin.gl_generators(d, p):
-                for a, ai in ((g, gi), (gi, g)):
+                for a, ai in ((g, gi), (gi, g))[: 2 if inverses else 1]:
                     # Row j holds the coefficients of entry j of the image: the
                     # block diagonal of (A kron B^T) per arrow, which maps a
                     # row-major M to A M B.
@@ -525,49 +602,71 @@ class ClassTable:
             terms.append((np.array(dst, dtype=np.intp), src, coef))
         return len(linears), terms
 
-    def _orbit(self, mu: DimVec, codec: _KeyCodec, maps, seed: np.ndarray, closed: int):
-        """The sorted keys of the orbit of the one-key array seed.
+    def _images(self, codec: _KeyCodec, terms, keys: np.ndarray) -> np.ndarray:
+        """The keys of the images of the states keys under every map of terms."""
+        digits = codec.unpack(keys)
+        (_, first_src, first_coef), *later = terms
+        images = digits[first_src].astype(first_coef.dtype, copy=False)
+        images *= first_coef
+        for dst, src, coef in later:
+            images[dst] += digits[src] * coef
+        del digits
+        # In place; numpy divides by a scalar far faster than it takes remainders.
+        for part in _slices(*images.shape):
+            images[part] -= images[part] // self.q * self.q
+        return codec.pack(images.astype(np.uint8, copy=False).reshape(codec.n, -1))
 
-        Breadth-first, one level at a time: since every generator comes with
-        its inverse, a new state can only repeat one of the previous or the
-        current level.  closed counts the states of earlier orbits of mu.
+    def _orbit(self, mu: DimVec, codec: _KeyCodec, maps, seed: np.ndarray,
+               states: np.ndarray, count: int, bitmap: np.ndarray | None) -> int:
+        """Append the orbit of the one-key array seed to states[count:]; the new count.
+
+        count is the number of states of mu found before.  Breadth-first:
+        states are expanded in the order they were found, a batch of at most
+        _CHUNK images at a time.  The bitmap walk tests each image against
+        bitmap, the visited set of every orbit of mu, and needs only the
+        generators, because in a finite group they generate every element;
+        its batches run across levels.  In the sorted walk (bitmap None)
+        every generator comes with its inverse, so the orbit graph is
+        undirected and a new state can only repeat one of the previous,
+        current or next level, each kept sorted; its batches stay within a
+        level.  Either walk leaves the orbit sorted.
         """
         nmaps, terms = maps
+        start = count
+        count = _append(states, count, seed)
+        if bitmap is not None:
+            _visit(bitmap, seed)
         if not terms:  # no generators, or no matrix entries: one state
-            return seed
+            return count
         step = max(1, _CHUNK // nmaps)
-        (_, first_src, first_coef), *later = terms
-        prev = seed[:0]
-        cur = seed
-        levels = [seed]
-        size = 1
-        while cur.size:
-            nxt = seed[:0]
-            for start in range(0, cur.size, step):
-                digits = codec.unpack(cur[start : start + step])
-                images = digits[first_src] * first_coef
-                for dst, src, coef in later:
-                    images[dst] += digits[src] * coef
-                # numpy divides by a scalar far faster than it takes remainders.
-                images -= images // self.q * self.q
-                images = images.astype(np.uint8, copy=False)
-                new = _unique(codec.pack(images.reshape(codec.n, -1)))
+        # The levels of the sorted walk, as ranges of states.
+        prev, cur = (start, start), (start, count)
+        head = start
+        while head < count:
+            if head == cur[1]:
+                prev, cur = cur, (cur[1], count)
+            end = min(head + step, cur[1] if bitmap is None else count)
+            keys = self._images(codec, terms, states[head:end])
+            head = end
+            if bitmap is None:
+                new = _unique(keys)
                 # Each search takes only the survivors of the one before.
-                for known in (cur, prev, nxt):
-                    new = new[~_find(known, new)[1]]
-                if closed + size + nxt.size + new.size > self.max_states:
-                    raise LimitExceeded(
-                        f"orbit states at dimension {mu} exceed max_states={self.max_states}"
-                    )
+                for a, b in (cur, prev, (cur[1], count)):
+                    new = new[~_find(states[a:b], new)[1]]
+            else:
+                new = _unique(keys[~_visited(bitmap, keys)])
+            if count + new.size > self.max_states:
+                raise LimitExceeded(
+                    f"orbit states at dimension {mu} exceed max_states={self.max_states}"
+                )
+            count = _append(states, count, new)
+            if bitmap is None:
                 # Both parts are sorted, so the stable sort is a linear merge.
-                nxt = np.concatenate([nxt, new])
-                nxt.sort(kind="stable")
-            size += nxt.size
-            prev, cur = cur, nxt
-            levels.append(cur)
-        orbit = np.concatenate(levels)
-        orbit.sort(kind="stable")
-        return orbit
+                states[cur[1] : count].sort(kind="stable")
+            else:
+                _visit(bitmap, new)
+        states[start:count].sort()
+        return count
 
     def _candidates(self, mu: DimVec):
         """Digit-major blocks of states covering every class of dimension mu.
@@ -611,37 +710,44 @@ class ClassTable:
                     digits[low_cols] = grid
                     yield digits
 
+    def _walk(self, mu: DimVec, codec: _KeyCodec) -> tuple[np.ndarray, list[int]]:
+        """Every state of dimension mu, orbit after orbit, and where each orbit starts.
+
+        Each candidate not yet visited seeds the walk of its orbit.  With
+        codec.bitmapped the visited set is one bitmap, a bit per key, shared by
+        all orbits and freed on return; otherwise it is every earlier orbit,
+        each sorted.
+        """
+        bitmap = np.zeros(((1 << codec.width) + 7) // 8, dtype=np.uint8) if codec.bitmapped else None
+        maps = self._state_maps(mu, inverses=bitmap is None)
+        states = np.empty(_CHUNK, dtype=codec.dtype)
+        starts: list[int] = []
+        count = 0
+        for digits in self._candidates(mu):
+            cand = codec.pack(digits)
+            if bitmap is None:
+                seen = np.zeros(cand.size, dtype=bool)
+                for a, b in zip(starts, starts[1:] + [count]):
+                    seen |= _find(states[a:b], cand)[1]
+            else:
+                seen = _visited(bitmap, cand)
+            for r in range(cand.size):
+                if seen[r]:
+                    continue
+                starts.append(count)
+                count = self._orbit(mu, codec, maps, cand[r : r + 1], states, count, bitmap)
+                if bitmap is None:
+                    seen |= _find(states[starts[-1] : count], cand)[1]
+                else:
+                    seen = _visited(bitmap, cand)
+        states.resize(count, refcheck=False)
+        return states, starts
+
     def _ensure(self, mu: DimVec):
         if mu in self._mu:
             return
         codec = _KeyCodec(self.q, sum(nt * ns for nt, ns in self._shapes(mu)))
-        maps = self._state_maps(mu)
-        orbits: list[np.ndarray] = []
-        nstates = 0
-        for digits in self._candidates(mu):
-            cand = codec.pack(digits)
-            seen = np.zeros(cand.size, dtype=bool)
-            for orbit in orbits:
-                seen |= _find(orbit, cand)[1]
-            for r in range(cand.size):
-                if seen[r]:
-                    continue
-                orbit = self._orbit(mu, codec, maps, cand[r : r + 1], nstates)
-                orbits.append(orbit)
-                nstates += orbit.size
-                seen |= _find(orbit, cand)[1]
-        mins = np.concatenate([orbit[:1] for orbit in orbits])
-        order = np.argsort(mins, kind="stable")
-        keys = np.concatenate(orbits)
-        keys.sort(kind="stable")
-        labels = np.empty(keys.size, dtype=np.min_scalar_type(len(orbits) - 1))
-        sizes = []
-        for new, old in enumerate(order):
-            orbit, orbits[old] = orbits[old], None
-            for start in range(0, orbit.size, _CHUNK):
-                labels[keys.searchsorted(orbit[start : start + _CHUNK])] = new
-            sizes.append(orbit.size)
-        del orbits, orbit
+        keys, labels, mins, sizes = _labelled(codec, *self._walk(mu, codec))
         self._nclasses += len(sizes)
         if self._nclasses > self.max_classes:
             raise LimitExceeded(
@@ -661,7 +767,7 @@ class ClassTable:
         for d in mu:
             group_order *= modlin.gl_order(d, self.q)
         classes = []
-        for new, (row, size) in enumerate(zip(codec.unpack(mins[order]).T, sizes)):
+        for new, (row, size) in enumerate(zip(codec.unpack(mins).T, sizes)):
             assert group_order % size == 0
             rep = Rep(self.quiver, self.q, mu, self._mats_from_row(row, mu))
             classes.append(

@@ -342,10 +342,14 @@ def test_limits():
         ClassTable(jordan(), GroundField(2), (3,), max_classes=2).classes((3,))
 
 
-def test_max_states_bound_is_exact():
-    # Jordan q=2 (4) has 2^12 = 4096 states: the limit admits exactly that many.
+@pytest.mark.parametrize("native_bits", [64, 0], ids=["native", "void"])
+def test_max_states_bound_is_exact(monkeypatch, native_bits):
+    # Jordan q=2 (4) has 2^12 = 4096 states: the limit admits exactly that many,
+    # on the bitmap walk of native keys and on the sorted walk of void keys.
+    monkeypatch.setattr(repcat, "_NATIVE_KEY_BITS", native_bits)
     t = ClassTable(jordan(), GroundField(2), (4,), max_states=4096)
     assert sum(c.orbit_size for c in t.classes((4,))) == 4096
+    assert t._mu[(4,)].codec.bitmapped == (native_bits > 0)
     with pytest.raises(LimitExceeded) as exc:
         ClassTable(jordan(), GroundField(2), (4,), max_states=4095).classes((4,))
     assert "(4,)" in str(exc.value)
@@ -449,27 +453,60 @@ def test_key_packing_preserves_order_and_round_trips(case):
         assert (int(key) if codec.native else int.from_bytes(key.tobytes(), "big")) == expect
 
 
-@pytest.mark.parametrize("q,bound", [(3, (2, 2)), (17, (1, 1))])
-def test_void_keys_give_the_same_table(monkeypatch, q, bound):
-    native = ClassTable(kronecker(), GroundField(q), bound)
-    for mu in native.degrees():
-        native.classes(mu)
-    monkeypatch.setattr(repcat, "_NATIVE_KEY_BITS", 0)
-    wide = ClassTable(kronecker(), GroundField(q), bound)
-    for mu in native.degrees():
-        a, b = native.classes(mu), wide.classes(mu)
-        assert [
-            (c.cid, [m.tolist() for m in c.rep.mats], c.aut, c.orbit_size, c.indecomposable)
-            for c in a
-        ] == [
-            (c.cid, [m.tolist() for m in c.rep.mats], c.aut, c.orbit_size, c.indecomposable)
-            for c in b
-        ]
+def _full_table(monkeypatch, quiver, q, bound, **patch):
+    with monkeypatch.context() as m:
+        for name, value in patch.items():
+            m.setattr(repcat, name, value)
+        t = ClassTable(quiver, GroundField(q), bound)
+        for mu in t.degrees():
+            t.classes(mu)
+    return t
+
+
+def _class_rows(t, mu):
+    return [
+        (c.cid, [m.tolist() for m in c.rep.mats], c.aut, c.orbit_size, c.indecomposable)
+        for c in t.classes(mu)
+    ]
+
+
+@pytest.mark.parametrize(
+    "quiver,q,bound",
+    [
+        pytest.param(kronecker(), 3, (2, 2), id="3-bound0"),
+        pytest.param(kronecker(), 17, (1, 1), id="17-bound1"),
+        pytest.param(jordan(), 2, (4,), id="jordan-2"),
+        pytest.param(Quiver(2, [(0, 1), (1, 0)]), 3, (2, 2), id="c2-3"),
+        pytest.param(Quiver(1, [(0, 0), (0, 0)]), 3, (2,), id="two-loops-3"),
+        pytest.param(Quiver(3, [(0, 1), (1, 2), (0, 2)]), 2, (2, 2, 2), id="x2-2"),
+    ],
+)
+def test_void_keys_give_the_same_table(monkeypatch, quiver, q, bound):
+    # Native keys take the bitmap walk over the generators alone; the same
+    # native keys forced onto the sorted walk, and void keys, take the walk
+    # over the generators and their inverses.  The tables must agree.
+    bitmap = _full_table(monkeypatch, quiver, q, bound)
+    levels = _full_table(monkeypatch, quiver, q, bound, _BITMAP_KEY_BITS=0)
+    wide = _full_table(monkeypatch, quiver, q, bound, _NATIVE_KEY_BITS=0)
+    assert bitmap._mu[bound].codec.bitmapped
+    assert not levels._mu[bound].codec.bitmapped
     assert wide._mu[bound].keys.dtype.kind == "V"
-    for mu in native.degrees():
-        assert np.array_equal(native._mu[mu].labels, wide._mu[mu].labels)
-    for c in native.classes(bound):
-        assert native.hall_distribution(c.cid, (1, 1)) == wide.hall_distribution(c.cid, (1, 1))
+    for mu in bitmap.degrees():
+        a, b, c = bitmap._mu[mu], levels._mu[mu], wide._mu[mu]
+        assert _class_rows(bitmap, mu) == _class_rows(levels, mu) == _class_rows(wide, mu)
+        assert a.keys.dtype == b.keys.dtype and a.keys.tobytes() == b.keys.tobytes()
+        # A void key is the big-endian bytes of the native key.
+        nbytes = c.keys.dtype.itemsize
+        assert a.keys.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes :].tobytes() == (
+            c.keys.tobytes()
+        )
+        for other in (b, c):
+            assert a.labels.dtype == other.labels.dtype
+            assert a.labels.tobytes() == other.labels.tobytes()
+    for g in bitmap.classes(bound):
+        for sub in bitmap.degrees():
+            dist = bitmap.hall_distribution(g.cid, sub)
+            assert dist == levels.hall_distribution(g.cid, sub) == wide.hall_distribution(g.cid, sub)
 
 
 def test_stored_states_cost_at_most_3_bytes_each():
