@@ -8,7 +8,9 @@ flattening of a representation into digit rows (arrow matrices in
 arrow-list order, each row-major).  Every state of the variety is kept as
 one order-preserving packed key with its class label, in two parallel
 sorted arrays per dimension vector, and a block of states is classified by
-one batch lookup.  Automorphism counts come from the orbit-stabilizer
+one batch lookup.  Over F_2 the orbit walk maps native keys through
+per-byte XOR tables of the base-change generators; otherwise it maps
+unpacked digit rows.  Automorphism counts come from the orbit-stabilizer
 identity, Hall numbers from direct subrepresentation enumeration with one
 change of basis per subspace.
 """
@@ -602,8 +604,43 @@ class ClassTable:
             terms.append((np.array(dst, dtype=np.intp), src, coef))
         return len(linears), terms
 
-    def _images(self, codec: _KeyCodec, terms, keys: np.ndarray) -> np.ndarray:
-        """The keys of the images of the states keys under every map of terms."""
+    def _byte_tables(self, codec: _KeyCodec, maps) -> np.ndarray | None:
+        """Over F_2, the (nbytes, 256, nmaps) tables of the maps on native keys.
+
+        Over F_2 each base-change map is linear on the bits of a packed key,
+        so the image of a key under map m is the XOR over its bytes b of
+        tables[b, (key >> 8b) & 0xFF, m], the image of that byte alone.  The
+        tables are the digit-major images of the 256 values of each byte;
+        values above the key width in a partial top byte never occur.  None
+        for q > 2, void keys, or no maps.
+        """
+        nmaps, terms = maps
+        if self.q != 2 or not codec.native or not terms:
+            return None
+        values = np.arange(256, dtype=codec.dtype)
+        keys = np.concatenate([values << codec.dtype.type(8 * b) for b in range(codec.nbytes)])
+        images = self._images(codec, (nmaps, terms, None), keys)
+        return np.ascontiguousarray(images.reshape(nmaps, codec.nbytes, 256).transpose(1, 2, 0))
+
+    def _images(self, codec: _KeyCodec, maps, keys: np.ndarray) -> np.ndarray:
+        """The keys of the images of the states keys under every map, map after map.
+
+        maps is (nmaps, terms, tables).  With tables (q == 2 and native keys,
+        see _byte_tables) the images of a key are one table row per key
+        byte, XORed.  Otherwise the keys are unpacked into a digit-major
+        block, mapped by the terms of _state_maps, reduced mod q and packed.
+        """
+        _, terms, tables = maps
+        if tables is not None:
+            # Row r of images holds the images of keys[r] under every map.
+            images = np.empty(keys.shape + tables.shape[2:], dtype=keys.dtype)
+            part = np.empty_like(images)
+            for b, table in enumerate(tables):
+                byte = (keys >> codec.dtype.type(8 * b) & codec.dtype.type(0xFF)).astype(np.intp)
+                table.take(byte, axis=0, out=part if b else images)
+                if b:
+                    images ^= part
+            return images.T.reshape(-1)
         digits = codec.unpack(keys)
         (_, first_src, first_coef), *later = terms
         images = digits[first_src].astype(first_coef.dtype, copy=False)
@@ -631,7 +668,7 @@ class ClassTable:
         current or next level, each kept sorted; its batches stay within a
         level.  Either walk leaves the orbit sorted.
         """
-        nmaps, terms = maps
+        nmaps, terms, _ = maps
         start = count
         count = _append(states, count, seed)
         if bitmap is not None:
@@ -646,7 +683,7 @@ class ClassTable:
             if head == cur[1]:
                 prev, cur = cur, (cur[1], count)
             end = min(head + step, cur[1] if bitmap is None else count)
-            keys = self._images(codec, terms, states[head:end])
+            keys = self._images(codec, maps, states[head:end])
             head = end
             if bitmap is None:
                 new = _unique(keys)
@@ -716,10 +753,12 @@ class ClassTable:
         Each candidate not yet visited seeds the walk of its orbit.  With
         codec.bitmapped the visited set is one bitmap, a bit per key, shared by
         all orbits and freed on return; otherwise it is every earlier orbit,
-        each sorted.
+        each sorted.  The maps, and over F_2 their byte tables, are built
+        once here.
         """
         bitmap = np.zeros(((1 << codec.width) + 7) // 8, dtype=np.uint8) if codec.bitmapped else None
         maps = self._state_maps(mu, inverses=bitmap is None)
+        maps = (*maps, self._byte_tables(codec, maps))
         states = np.empty(_CHUNK, dtype=codec.dtype)
         starts: list[int] = []
         count = 0

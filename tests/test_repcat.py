@@ -453,6 +453,38 @@ def test_key_packing_preserves_order_and_round_trips(case):
         assert (int(key) if codec.native else int.from_bytes(key.tobytes(), "big")) == expect
 
 
+@pytest.mark.parametrize(
+    "quiver,mu,width",
+    [
+        pytest.param(kronecker(), (2, 2), 8, id="kronecker-8"),
+        pytest.param(Quiver(3, [(0, 1), (1, 2), (0, 2)]), (2, 2, 2), 12, id="x2-12"),
+        pytest.param(Quiver(2, [(0, 1), (1, 0)]), (3, 3), 18, id="c2-18"),
+        pytest.param(jordan(), (5,), 25, id="jordan-25"),
+        pytest.param(jordan(), (6,), 36, id="jordan-36"),
+    ],
+)
+def test_byte_tables_match_the_digit_path(quiver, mu, width):
+    # Over F_2 the image of a native key under every base-change map (and
+    # inverse) is the XOR of one table row per key byte; it must equal the
+    # image computed on the unpacked digits, map after map.
+    t = ClassTable(quiver, GroundField(2), mu)
+    codec = _KeyCodec(2, width)
+    maps = t._state_maps(mu, inverses=True)
+    tables = t._byte_tables(codec, maps)
+    assert tables.shape == (codec.nbytes, 256, maps[0])
+    rng = np.random.default_rng(width)
+    keys = rng.integers(0, 1 << width, 2000, dtype=np.uint64).astype(codec.dtype)
+    keys = np.concatenate([keys, np.array([0, (1 << width) - 1], dtype=codec.dtype)])
+    fast = t._images(codec, (*maps, tables), keys)
+    slow = t._images(codec, (*maps, None), keys)
+    assert fast.dtype == slow.dtype == codec.dtype
+    assert fast.shape == slow.shape == (maps[0] * keys.size,)
+    assert np.array_equal(fast, slow)
+    # Only F_2 and native keys take the tables.
+    assert ClassTable(quiver, GroundField(3), mu)._byte_tables(_KeyCodec(3, width), maps) is None
+    assert t._byte_tables(_KeyCodec(2, 65), maps) is None
+
+
 def _full_table(monkeypatch, quiver, q, bound, **patch):
     with monkeypatch.context() as m:
         for name, value in patch.items():
@@ -479,12 +511,15 @@ def _class_rows(t, mu):
         pytest.param(Quiver(2, [(0, 1), (1, 0)]), 3, (2, 2), id="c2-3"),
         pytest.param(Quiver(1, [(0, 0), (0, 0)]), 3, (2,), id="two-loops-3"),
         pytest.param(Quiver(3, [(0, 1), (1, 2), (0, 2)]), 2, (2, 2, 2), id="x2-2"),
+        pytest.param(Quiver(2, [(0, 1), (1, 0)]), 2, (3, 3), id="c2-2-3bytes"),
     ],
 )
 def test_void_keys_give_the_same_table(monkeypatch, quiver, q, bound):
     # Native keys take the bitmap walk over the generators alone; the same
     # native keys forced onto the sorted walk, and void keys, take the walk
-    # over the generators and their inverses.  The tables must agree.
+    # over the generators and their inverses.  Over F_2 both native walks map
+    # keys through byte tables and the void walk through digits.  The tables
+    # must agree.
     bitmap = _full_table(monkeypatch, quiver, q, bound)
     levels = _full_table(monkeypatch, quiver, q, bound, _BITMAP_KEY_BITS=0)
     wide = _full_table(monkeypatch, quiver, q, bound, _NATIVE_KEY_BITS=0)
