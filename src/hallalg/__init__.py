@@ -18,7 +18,6 @@ from .repcat import (
     euler_form,
     ext_dim,
     hom_dim,
-    symmetric_euler_form,
 )
 from .hallhopf import AlgElt, BasisSym, DoubleHall, TensorElt, TruncationError
 from .gkm import (

@@ -26,6 +26,7 @@ from .repcat import (
     MAX_FIELD_SIZE,
     LimitExceeded,
     Quiver,
+    cid_str,
     dims_below,
 )
 from .scalars import GroundField, is_prime
@@ -204,10 +205,6 @@ def _to_json(data) -> str:
     return buf.getvalue()
 
 
-def _cid_str(cid) -> str:
-    return f"{tuple(cid[0])}:{cid[1]}"
-
-
 def _classify(table: ClassTable, config: Config, **_) -> dict:
     rows = []
     for mu in table.degrees():
@@ -236,9 +233,9 @@ def _hall_table(table: ClassTable, config: Config, **_) -> dict:
                 for (quot, sub), n in sorted(dist.items()):
                     rows.append(
                         {
-                            "gamma": _cid_str(g.cid),
-                            "quotient": _cid_str(quot),
-                            "sub": _cid_str(sub),
+                            "gamma": cid_str(g.cid),
+                            "quotient": cid_str(quot),
+                            "sub": cid_str(sub),
                             "count": n,
                         }
                     )

@@ -145,8 +145,6 @@ def _check_degree(H: DoubleHall, theta: DimVec):
         raise ValueError("degree zero has no decomposable span")
     if sum(theta) == 1:
         raise ValueError(f"degree {theta} is a vertex simple")
-    if not all(0 <= t <= b for t, b in zip(theta, H.table.bound)):
-        raise ValueError(f"degree {theta} outside table bound {H.table.bound}")
 
 
 def is_primitive(H: DoubleHall, x: AlgElt, theta=None) -> bool:

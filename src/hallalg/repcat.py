@@ -31,8 +31,8 @@ __all__ = [
     "Rep",
     "RepClass",
     "ClassTable",
+    "cid_str",
     "euler_form",
-    "symmetric_euler_form",
     "hom_dim",
     "ext_dim",
     "end_basis",
@@ -118,16 +118,17 @@ def dims_below(bound: DimVec):
     return vecs
 
 
+def cid_str(cid: ClassId) -> str:
+    """The text of a class id: `(1, 0):0`."""
+    return f"{cid[0]}:{cid[1]}"
+
+
 def euler_form(quiver: Quiver, a: DimVec, b: DimVec) -> int:
     """<a, b> = sum_i a_i b_i - sum_{arrows s->t} a_s b_t."""
     out = sum(x * y for x, y in zip(a, b))
     for s, t in quiver.arrows:
         out -= a[s] * b[t]
     return out
-
-
-def symmetric_euler_form(quiver: Quiver, a: DimVec, b: DimVec) -> int:
-    return euler_form(quiver, a, b) + euler_form(quiver, b, a)
 
 
 class Rep:
@@ -280,7 +281,7 @@ class RepClass:
         return self.cid[0]
 
     def __repr__(self):
-        return f"RepClass({self.cid[0]}:{self.cid[1]})"
+        return f"RepClass({cid_str(self.cid)})"
 
 
 class _KeyCodec:
@@ -376,6 +377,13 @@ def _unique(keys: np.ndarray) -> np.ndarray:
     keep = np.ones(keys.size, dtype=bool)
     keep[1:] = keys[1:] != keys[:-1]
     return keys[keep]
+
+
+def _mark(seen: np.ndarray, cand: np.ndarray, keys: np.ndarray):
+    """Set seen where the sorted distinct cand occur in keys, _CHUNK keys at a time."""
+    for start in range(0, keys.size, _CHUNK):
+        idx, found = _find(cand, keys[start : start + _CHUNK])
+        seen[idx[found]] = True
 
 
 def _visited(bitmap: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -501,10 +509,15 @@ class ClassTable:
     def degrees(self) -> list[DimVec]:
         return dims_below(self.bound)
 
-    def classes(self, mu) -> tuple[RepClass, ...]:
+    def _bounded(self, mu) -> DimVec:
+        """mu as a tuple of ints, if it is a dimension vector within the bound."""
         mu = tuple(int(x) for x in mu)
         if len(mu) != len(self.bound) or min(mu) < 0 or not dim_leq(mu, self.bound):
             raise ValueError(f"dimension {mu} outside table bound {self.bound}")
+        return mu
+
+    def classes(self, mu) -> tuple[RepClass, ...]:
+        mu = self._bounded(mu)
         self._ensure(mu)
         return self._mu[mu].classes
 
@@ -536,6 +549,7 @@ class ClassTable:
 
     def _lookup(self, mu: DimVec, reps) -> list[int]:
         """The class labels of representations of dimension mu, given as in _digits."""
+        mu = self._bounded(mu)
         self._ensure(mu)
         return self._mu[mu].lookup(_digits(reps))
 
@@ -752,9 +766,10 @@ class ClassTable:
 
         Each candidate not yet visited seeds the walk of its orbit.  With
         codec.bitmapped the visited set is one bitmap, a bit per key, shared by
-        all orbits and freed on return; otherwise it is every earlier orbit,
-        each sorted.  The maps, and over F_2 their byte tables, are built
-        once here.
+        all orbits and freed on return.  Otherwise each block of candidates is
+        sorted and deduplicated, and the states found before it, then those of
+        each orbit it seeds, are searched in it: a search per state, not one
+        per orbit.  The maps, and over F_2 their byte tables, are built once.
         """
         bitmap = np.zeros(((1 << codec.width) + 7) // 8, dtype=np.uint8) if codec.bitmapped else None
         maps = self._state_maps(mu, inverses=bitmap is None)
@@ -765,9 +780,9 @@ class ClassTable:
         for digits in self._candidates(mu):
             cand = codec.pack(digits)
             if bitmap is None:
+                cand = _unique(cand)
                 seen = np.zeros(cand.size, dtype=bool)
-                for a, b in zip(starts, starts[1:] + [count]):
-                    seen |= _find(states[a:b], cand)[1]
+                _mark(seen, cand, states[:count])
             else:
                 seen = _visited(bitmap, cand)
             for r in range(cand.size):
@@ -776,7 +791,7 @@ class ClassTable:
                 starts.append(count)
                 count = self._orbit(mu, codec, maps, cand[r : r + 1], states, count, bitmap)
                 if bitmap is None:
-                    seen |= _find(states[starts[-1] : count], cand)[1]
+                    _mark(seen, cand, states[starts[-1] : count])
                 else:
                     seen = _visited(bitmap, cand)
         states.resize(count, refcheck=False)
@@ -824,7 +839,7 @@ class ClassTable:
         the canonical representative of gamma with dimension vector sub_dim
         lying in that pair of classes.
         """
-        sub_dim = tuple(sub_dim)
+        sub_dim = self._bounded(sub_dim)
         cache_key = (gamma, sub_dim)
         if cache_key in self._hall_dist:
             return self._hall_dist[cache_key]

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import gkm, primitives
 from .hallhopf import AlgElt, BasisSym, DoubleHall, TensorElt, _extend
-from .repcat import ClassTable, dim_add, dim_leq, dims_below
+from .repcat import ClassTable, cid_str, dim_add, dim_leq, dims_below
 from .scalars import is_positive
 
 __all__ = ["CheckResult", "CheckReport", "SUITES", "run_suite"]
@@ -130,7 +130,7 @@ def suite_hopf(table: ClassTable) -> CheckReport:
         for mu in samples:
             for cid in cids:
                 x = H.sym_elt(H._monomial(cid, mu, plus))
-                name = f"{tag}[{mu}]{cid[0]}:{cid[1]}"
+                name = f"{tag}[{mu}]{cid_str(cid)}"
                 left = H._comult2(x, plus)
                 right = H._comult2(x, plus, left=False)
                 rep.check(f"coassoc{name}", TensorElt(left), TensorElt(right))
@@ -143,7 +143,7 @@ def suite_hopf(table: ClassTable) -> CheckReport:
                     rep.check(f"antipode-{side}{name}", got, want)
         for a, b in _pure_pairs_within_bound(table):
             x, y = make(a), make(b)
-            name = f"green{tag}{a[0]}:{a[1]}*{b[0]}:{b[1]}"
+            name = f"green{tag}{cid_str(a)}*{cid_str(b)}"
             rep.check(
                 name,
                 comult(H.mult(x, y)),
@@ -195,7 +195,7 @@ def suite_pairing(table: ClassTable) -> CheckReport:
                         rhs = rhs + c * pair(plus, H.sym_elt(s1), yb) * pair(
                             plus, H.sym_elt(s2), ybp
                         )
-                    rep.check(f"phi-mult-{side}[{mu}{_n2(a.cid)};{_n2(b)};{_n2(bp)}]", lhs, rhs)
+                    rep.check(f"phi-mult-{side}[{mu}{cid_str(a.cid)};{cid_str(b)};{cid_str(bp)}]", lhs, rhs)
     # phi(S a, S b) = phi(a, b).
     image = {p: {s: antipode[p](H.sym_elt(s)) for s in small[p]} for p in signs}
     for sa in small[True]:
@@ -214,17 +214,17 @@ def suite_pairing(table: ClassTable) -> CheckReport:
                 val = H.psi(H.u_plus(a.cid), H.u_plus(b.cid))
                 if a.cid == b.cid:
                     rep.check(
-                        f"psi-diag[{_n2(a.cid)}]",
+                        f"psi-diag[{cid_str(a.cid)}]",
                         val,
                         H.field.scalar(Fraction(1, a.aut)),
                     )
                     rep.expect(
-                        f"psi-positive[{_n2(a.cid)}]",
+                        f"psi-positive[{cid_str(a.cid)}]",
                         is_positive(val),
                         f"psi={val}",
                     )
                 else:
-                    rep.check(f"psi-off[{_n2(a.cid)};{_n2(b.cid)}]", val, H.field.zero)
+                    rep.check(f"psi-off[{cid_str(a.cid)};{cid_str(b.cid)}]", val, H.field.zero)
     # Involution laws.
     for plus in signs:
         for s in basis[plus]:
@@ -249,11 +249,7 @@ def suite_pairing(table: ClassTable) -> CheckReport:
 
 
 def _n(s: BasisSym) -> str:
-    return f"{s.minus[0]}:{s.minus[1]}|{s.torus}|{s.plus[0]}:{s.plus[1]}"
-
-
-def _n2(cid) -> str:
-    return f"{cid[0]}:{cid[1]}"
+    return f"{cid_str(s.minus)}|{s.torus}|{cid_str(s.plus)}"
 
 
 def _generator_constants(table: ClassTable, H: DoubleHall):

@@ -56,6 +56,23 @@ def test_classes_rejects_malformed_dimension():
             t.classes(mu)
 
 
+def test_classify_outside_the_bound_is_a_domain_error():
+    """A representation outside the bound is rejected before its dimension
+    vector is enumerated."""
+    t = ClassTable(a2(), GroundField(2), (1, 1))
+    with pytest.raises(ValueError, match="outside table bound"):
+        t.classify(Rep.zero(a2(), 2, (2, 0)))
+    assert (2, 0) not in t._mu
+
+
+def test_hall_distribution_rejects_malformed_sub_dimension():
+    t = ClassTable(a2(), GroundField(2), (1, 1))
+    gamma = t.classes((1, 1))[0].cid
+    for sub_dim in ((1,), (-1, 1), (2, 0)):
+        with pytest.raises(ValueError, match="outside table bound"):
+            t.hall_distribution(gamma, sub_dim)
+
+
 def test_direct_sum_requires_same_context():
     m = Rep.simple(a2(), 2, 0)
     n = Rep.simple(jordan(), 2, 0)

@@ -84,10 +84,11 @@ def test_json_bytes_do_not_depend_on_the_hash_seed():
     assert hashlib.sha256(outs[0]).hexdigest() == GOLDEN[("a2", "verify")]
 
 
-# Text output: every command on a2 and jordan; on kronecker the commands
-# other than `verify --suite all`, a non-default roots height and two suites
-# that print [skip] lines; and a kac report with a [fail] line, from a2.cfg
-# with its height raised above the table bound.
+# Text output: every command on a2, jordan, tube2 and x2; on kronecker the
+# commands other than `verify --suite all`, a non-default roots height and two
+# suites that print [skip] lines; and a kac report with a [fail] line, from
+# a2.cfg with its height raised above the table bound.  The tube2 and x2
+# digests were recorded before one function wrote the text of a class id.
 GOLDEN_TEXT = {
     ("a2", "classify"): "cadff1fec3c586bcba430e5068bb039f741337f326f22f4b40bf9998ddb9526e",
     ("a2", "hall-table"): "3a239fe8bee80f97ff10d550cb0b058e57c9ecc33e59d0b53fa6a07c5057e489",
@@ -109,6 +110,18 @@ GOLDEN_TEXT = {
     ("kronecker", "roots --height 5"): "2d1d1a84b58788df43f6e2226de0ea2589f76cbfceaea1238976c9334e1a47b5",
     ("kronecker", "verify --suite sv"): "913a8f72178e41021e38082ab87a743ae2912f965e6a024a4dd2968211c9953a",
     ("kronecker", "verify --suite composition"): "d07444ce2ddd60fdae69f88a68f108c96bdb123dddfe22e5100e79dccd134bdd",
+    ("tube2", "classify"): "e70f55d8646eac210407998a1051db4ae9f6218f0fc87deb0f1ccc64f2057046",
+    ("tube2", "hall-table"): "1fe175bec08fe65beaa9709c16db4a04e39f101207ce2d07b8eaa41bf7571029",
+    ("tube2", "cartan"): "9e6ffada82eb6863d6ff54af715508cd8ed928f12eff0faf751e35d350ebf3bd",
+    ("tube2", "roots"): "413e7202121495d6a63a41df22d84c32ed1ef95037219a5b41d734009f566abc",
+    ("tube2", "sv"): "e487e0bbe407ea1985eecb60b9d9e9b29401be67d47d3fadb3b1e95e125d54ff",
+    ("tube2", "verify --suite all"): "5397fcc740af3697bdb6edd678d37789985cc1f8bdeed7fb388e97bb11230b48",
+    ("x2", "classify"): "56505b84bdc964029d8aa7d931f0fdf02906dfca53ee86455a33e6200b9adcfa",
+    ("x2", "hall-table"): "25d828743d4167bbe6004ab02cf91f62ae7bc4c8108d6cf4ec439d3939b272ca",
+    ("x2", "cartan"): "66f7fc3ef8ec7d7fff3ad728852335752b61a9020e44dd23c345bf3827558f6f",
+    ("x2", "roots"): "89e1de3ced25f250ad5d6c418523df82cc68c2d79929f08c6e9e2ed4a402cd94",
+    ("x2", "sv"): "3c14e7ad5d8e2b814e7cbbc11cb95bf2189aa27c276502295c977452021bb169",
+    ("x2", "verify --suite all"): "9ab900269663f9b043ba35fe209fec4ab874f9ed9f8dbf2da68ed9ff8e853a7d",
     ("a2-height-5", "verify --suite kac"): "95e7aa8dad6c3c2a06d5dd55e3554c964ab0951c10195be93705bef58e1af0c9",
 }
 

@@ -410,3 +410,23 @@ def test_algelt_degree_helpers(a2_q2):
     assert hom.degree() == (1, 0)
     mixed = H.u_plus(s1) + H.u_plus(s2)
     assert mixed.degree() is None
+
+
+def test_reprs_name_classes_as_dim_colon_index(a2_q2):
+    """The text of elements and classes, which failing checks print as witnesses."""
+    H = _H(a2_q2)
+    s1, s2 = a2_q2.simple_ids()
+    x = _indec_11(a2_q2)
+    mixed = H.mult(H.mult(H.u_plus(s1), H.torus((1, -1))), H.u_minus(s2))
+    assert repr(mixed) == "(1+0*v)*u-[(0, 1):0]*K(1, -1)*u+[(1, 0):0]"
+    assert repr(H.mult(H.u_plus(x), H.u_minus(s1))) == (
+        "(0+1/2*v)*K(-1, 0)*u+[(0, 1):0] + (1+0*v)*u-[(1, 0):0]*u+[(1, 1):1]"
+    )
+    assert repr(H.comult_plus(H.u_plus(x))) == (
+        "(1+0*v)*u+[(1, 1):1] (x) 1 + (1+0*v)*K(0, 1)*u+[(1, 0):0] (x) u+[(0, 1):0]"
+        " + (1+0*v)*K(1, 1) (x) u+[(1, 1):1]"
+    )
+    assert repr(H.one()) == "(1+0*v)*1"
+    assert repr(H.one() - H.one()) == "0"
+    assert repr(a2_q2.cls(x)) == "RepClass((1, 1):1)"
+    assert repr(a2_q2.cls(((2, 1), 1))) == "RepClass((2, 1):1)"

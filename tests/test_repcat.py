@@ -16,7 +16,6 @@ from hallalg import (
     euler_form,
     ext_dim,
     hom_dim,
-    symmetric_euler_form,
 )
 from hallalg import repcat
 from hallalg.repcat import _KeyCodec, aut_count, is_indecomposable
@@ -223,9 +222,9 @@ def test_euler_form_examples():
     assert euler_form(a2(), (1, 0), (0, 1)) == -1
     assert euler_form(jordan(), (3,), (2,)) == 0
     assert euler_form(kronecker(), (1, 0), (0, 1)) == -2
-    assert symmetric_euler_form(a2(), (1, 0), (0, 1)) == -1
-    assert symmetric_euler_form(jordan(), (1,), (1,)) == 0
-    assert symmetric_euler_form(kronecker(), (1, 0), (0, 1)) == -2
+    assert ClassTable(a2(), GroundField(2), (1, 1)).sym((1, 0), (0, 1)) == -1
+    assert ClassTable(jordan(), GroundField(2), (1,)).sym((1,), (1,)) == 0
+    assert ClassTable(kronecker(), GroundField(2), (1, 1)).sym((1, 0), (0, 1)) == -2
 
 
 # ----- enumeration ----------------------------------------------------------
@@ -251,6 +250,30 @@ def test_jordan_class_counts_are_partition_numbers():
 def test_two_loop_quiver_single_simple():
     two_loops = Quiver(1, [(0, 0), (0, 0)])
     assert ClassTable(two_loops, GroundField(2), (1,)).class_count((1,)) == 1
+
+
+@pytest.mark.parametrize(
+    "g, q",
+    [(3, 2), (7, 2), (10, 2), (4, 3)],
+    ids=["12-bit-bitmap", "28-bit-sorted", "40-bit-sorted", "32-bit-digits"],
+)
+def test_loop_quiver_at_dimension_two_matches_closed_form(g, q):
+    """The g-loop quiver at dimension (2,), counted without the orbit walk.
+
+    A nonzero nilpotent representation V has one invariant line L, the
+    common image and kernel of its maps, and its g maps are a nonzero vector
+    of Hom(V/L, L)^g = F_q^g, determined up to scalars by the class.  So
+    there are 1 + (q^g - 1)/(q - 1) classes, all but the zero class
+    indecomposable, and 1 + (q^g - 1)(q + 1) states: q + 1 lines L, each
+    with q^g - 1 nonzero vectors.  Keys have 4g entries of (q - 1).bit_length()
+    bits, so the four cases take the bitmap walk, the sorted walk with
+    uint32 and with uint64 keys, and the digit-major path (q = 3).
+    """
+    t = ClassTable(Quiver(1, [(0, 0)] * g), GroundField(q), (2,))
+    lines = (q**g - 1) // (q - 1)
+    assert t.class_count((2,)) == 1 + lines
+    assert t.indec_count((2,)) == lines
+    assert sum(c.orbit_size for c in t.classes((2,))) == 1 + (q**g - 1) * (q + 1)
 
 
 def test_quiver_without_arrows_has_one_class_per_degree():
