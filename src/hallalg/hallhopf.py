@@ -13,7 +13,6 @@ terms.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 from typing import NamedTuple
@@ -37,26 +36,6 @@ class BasisSym(NamedTuple):
 
     def degree(self) -> DimVec:
         return dim_sub(self.plus[0], self.minus[0])
-
-
-def _memo(fn):
-    """The method fn, cached per instance in a dict keyed by its positional
-    arguments, or by its one argument; functools.cache would keep self alive."""
-    attr = f"_memo{fn.__name__}"
-
-    @functools.wraps(fn)
-    def cached(self, *args):
-        cache = getattr(self, attr, None)
-        if cache is None:
-            cache = {}
-            setattr(self, attr, cache)
-        key = args if len(args) > 1 else args[0]
-        out = cache.get(key)
-        if out is None:
-            out = cache[key] = fn(self, *args)
-        return out
-
-    return cached
 
 
 def _fmt_sym(sym: BasisSym) -> str:
@@ -158,6 +137,12 @@ class DoubleHall:
         self.field = table.field
         self.zero_cid = table.zero_id()
         self.zero_dim = table.quiver.zero_dim()
+        self._u_prod: dict = {}
+        self._comult_consts: dict = {}
+        self._anti_coeff: dict = {}
+        self._anti_sym: dict = {}
+        self._omega_sym: dict = {}
+        self._straight: dict = {}
 
     # ----- element constructors ------------------------------------------
 
@@ -196,48 +181,51 @@ class DoubleHall:
 
     # ----- structure constants -------------------------------------------
 
-    @_memo
     def _u_product_terms(self, a: ClassId, b: ClassId):
         """u_a u_b = v^<a,b> sum_g hall(a, b, g) u_g, as [(g, Scalar)].
 
         The same constants serve both signs.
         """
-        t = self.table
-        d = dim_add(a[0], b[0])
-        if not dim_leq(d, t.bound):
-            raise TruncationError(
-                f"product of degrees {a[0]} and {b[0]} needs classes of "
-                f"dimension {d} beyond bound {t.bound}"
-            )
-        pref = self.field.v_pow(t.euler(a[0], b[0]))
-        out = []
-        for g in t.classes(d):
-            n = t.hall(a, b, g.cid)
-            if n:
-                out.append((g.cid, pref * n))
-        return tuple(out)
+        key = (a, b)
+        if key not in self._u_prod:
+            t = self.table
+            d = dim_add(a[0], b[0])
+            if not dim_leq(d, t.bound):
+                raise TruncationError(
+                    f"product of degrees {a[0]} and {b[0]} needs classes of "
+                    f"dimension {d} beyond bound {t.bound}"
+                )
+            pref = self.field.v_pow(t.euler(a[0], b[0]))
+            out = []
+            for g in t.classes(d):
+                n = t.hall(a, b, g.cid)
+                if n:
+                    out.append((g.cid, pref * n))
+            self._u_prod[key] = tuple(out)
+        return self._u_prod[key]
 
-    @_memo
     def _comult_terms(self, g: ClassId, plus: bool):
         """Splitting constants of u_g: [(quot, sub, Scalar)].
 
         The plus sign folds in the K-reordering twist v^-(sub, quot); the
         minus sign places its slots as u_sub^- (x) u_quot^- K_{-dim sub}.
         """
-        t = self.table
-        out = []
-        for nu in dims_below(g[0]):
-            dist = t.hall_distribution(g, nu)
-            for (quot, sub), n in sorted(dist.items()):
-                e = t.euler(quot[0], sub[0])
-                if plus:
-                    e -= t.sym(sub[0], quot[0])
-                c = self.field.v_pow(e)
-                c = c * Fraction(t.aut(quot) * t.aut(sub), t.aut(g)) * n
-                out.append((quot, sub, c))
-        return tuple(out)
+        key = (g, plus)
+        if key not in self._comult_consts:
+            t = self.table
+            out = []
+            for nu in dims_below(g[0]):
+                dist = t.hall_distribution(g, nu)
+                for (quot, sub), n in sorted(dist.items()):
+                    e = t.euler(quot[0], sub[0])
+                    if plus:
+                        e -= t.sym(sub[0], quot[0])
+                    c = self.field.v_pow(e)
+                    c = c * Fraction(t.aut(quot) * t.aut(sub), t.aut(g)) * n
+                    out.append((quot, sub, c))
+            self._comult_consts[key] = tuple(out)
+        return self._comult_consts[key]
 
-    @_memo
     def _antipode_coeff(self, g: ClassId, pi: ClassId, plus: bool) -> Fraction:
         """The coefficient of K_{-g} u_pi^+ in S(u_g^+), or of u_pi^- K_g in
         S(u_g^-).
@@ -252,22 +240,26 @@ class DoubleHall:
         top with quotient rest (minus, which drops the q-twist).  c(0, 0) = 1,
         and every term is rational because v^2k = q^k.
         """
-        t = self.table
-        out = Fraction(int(g == self.zero_cid))
-        for nu in dims_below(g[0])[:-1]:  # every nu < dim g; dim g comes last
-            tails: dict[ClassId, list] = {}
-            pdist = t.hall_distribution(pi, nu if plus else dim_sub(g[0], nu))
-            for (quot, sub), m in pdist.items():
-                top, rest = (quot, sub) if plus else (sub, quot)
-                tails.setdefault(top, []).append((rest, m))
-            for (top, sub), n in t.hall_distribution(g, nu).items():
-                inner = sum(m * self._antipode_coeff(sub, rest, plus)
-                            for rest, m in tails.get(top, ()))
-                if inner:
-                    w = Fraction(n * t.aut(top) * t.aut(sub), t.aut(g))
-                    if plus:
-                        w *= Fraction(t.q) ** t.euler(top[0], nu)
-                    out -= w * inner
+        key = (g, pi, plus)
+        out = self._anti_coeff.get(key)
+        if out is None:
+            t = self.table
+            out = Fraction(int(g == self.zero_cid))
+            for nu in dims_below(g[0])[:-1]:  # every nu < dim g; dim g comes last
+                tails: dict[ClassId, list] = {}
+                pdist = t.hall_distribution(pi, nu if plus else dim_sub(g[0], nu))
+                for (quot, sub), m in pdist.items():
+                    top, rest = (quot, sub) if plus else (sub, quot)
+                    tails.setdefault(top, []).append((rest, m))
+                for (top, sub), n in t.hall_distribution(g, nu).items():
+                    inner = sum(m * self._antipode_coeff(sub, rest, plus)
+                                for rest, m in tails.get(top, ()))
+                    if inner:
+                        w = Fraction(n * t.aut(top) * t.aut(sub), t.aut(g))
+                        if plus:
+                            w *= Fraction(t.q) ** t.euler(top[0], nu)
+                        out -= w * inner
+            self._anti_coeff[key] = out
         return out
 
     # ----- one-sided Hopf operations ---------------------------------------
@@ -307,18 +299,22 @@ class DoubleHall:
                 _acc(out, k if plus else k[::-1], c * cc)
         return TensorElt(out)
 
-    @_memo
     def _antipode_sym(self, s: BasisSym, plus: bool) -> AlgElt:
-        g = _slot(s, plus)
-        # K_{-g} on the plus side, K_g on the minus side, times K_{-torus};
-        # moving K_torus past u_pi contributes v^(torus, g) to every term.
-        gdim = tuple(-d for d in g[0]) if plus else g[0]
-        mu = dim_sub(gdim, s.torus)
-        tw = self.field.v_pow(self.table.sym(s.torus, g[0]))
-        return AlgElt({
-            self._monomial(pi.cid, mu, plus): tw * self._antipode_coeff(g, pi.cid, plus)
-            for pi in self.table.classes(g[0])
-        })
+        key = (s, plus)
+        out = self._anti_sym.get(key)
+        if out is None:
+            g = _slot(s, plus)
+            # K_{-g} on the plus side, K_g on the minus side, times K_{-torus};
+            # moving K_torus past u_pi contributes v^(torus, g) to every term.
+            gdim = tuple(-d for d in g[0]) if plus else g[0]
+            mu = dim_sub(gdim, s.torus)
+            tw = self.field.v_pow(self.table.sym(s.torus, g[0]))
+            out = AlgElt({
+                self._monomial(pi.cid, mu, plus): tw * self._antipode_coeff(g, pi.cid, plus)
+                for pi in self.table.classes(g[0])
+            })
+            self._anti_sym[key] = out
+        return out
 
     def antipode_plus(self, x: AlgElt) -> AlgElt:
         """Antipode of the positive algebra (alternating filtration sum)."""
@@ -368,14 +364,18 @@ class DoubleHall:
                 out = out + cx * cy * self._phi_sym(sx, sy)
         return out
 
-    @_memo
     def _omega_of_sym(self, s: BasisSym) -> AlgElt:
-        if s.plus != self.zero_cid and s.minus != self.zero_cid:
-            left = self._omega_of_sym(BasisSym(s.minus, s.torus, self.zero_cid))
-            return self.mult(left, self.u_minus(s.plus))
-        e = self.table.sym(s.torus, dim_add(s.plus[0], s.minus[0]))
-        sym = BasisSym(s.plus, tuple(-m for m in s.torus), s.minus)
-        return AlgElt({sym: self.field.v_pow(e)})
+        out = self._omega_sym.get(s)
+        if out is None:
+            if s.plus != self.zero_cid and s.minus != self.zero_cid:
+                left = self._omega_of_sym(BasisSym(s.minus, s.torus, self.zero_cid))
+                out = self.mult(left, self.u_minus(s.plus))
+            else:
+                e = self.table.sym(s.torus, dim_add(s.plus[0], s.minus[0]))
+                sym = BasisSym(s.plus, tuple(-m for m in s.torus), s.minus)
+                out = AlgElt({sym: self.field.v_pow(e)})
+            self._omega_sym[s] = out
+        return out
 
     def omega(self, x: AlgElt) -> AlgElt:
         """The involution: swaps the signs and inverts the torus."""
@@ -400,31 +400,37 @@ class DoubleHall:
                 _acc(out, (a, b, s2) if left else (s1, a, b), c * cc)
         return out
 
-    @_memo
     def _straighten(self, a: ClassId, d: ClassId):
         """u_a^+ u_d^- rewritten in triangular order, as [(sym, Scalar)]."""
-        if self.zero_cid in (a, d):
+        key = (a, d)
+        out = self._straight.get(key)
+        if out is not None:
+            return out
+        if self.zero_cid in key:
             # The sum below gives this single term as well, but only after
             # building the double coproduct of every class it meets: without
             # this branch `verify --suite sv` on Kronecker q=2 (3,3) builds
             # 556 instead of 358 of them and runs 7-20% longer.
-            return ((BasisSym(d, self.zero_dim, a), self.field.one),)
-        x3 = self._comult2(self.u_plus(a), plus=True)
-        y3 = self._comult2(self.u_minus(d), plus=False)
-        acc: dict[BasisSym, Scalar] = {}
-        for (t1, t2, t3), ct in x3.items():
-            for (s1, s2, s3), cs in y3.items():
-                if t1.plus != s1.minus or t3.plus[0] != s3.minus[0]:
-                    continue
-                f1 = self._phi_sym(t1, s1)
-                if not f1:
-                    continue
-                f3 = self.phi(self.sym_elt(t3), self.antipode_minus(self.sym_elt(s3)))
-                if not f3:
-                    continue
-                sym = BasisSym(s2.minus, dim_add(s2.torus, t2.torus), t2.plus)
-                _acc(acc, sym, ct * cs * f1 * f3)
-        return tuple(sorted(acc.items()))
+            out = ((BasisSym(d, self.zero_dim, a), self.field.one),)
+        else:
+            x3 = self._comult2(self.u_plus(a), plus=True)
+            y3 = self._comult2(self.u_minus(d), plus=False)
+            acc: dict[BasisSym, Scalar] = {}
+            for (t1, t2, t3), ct in x3.items():
+                for (s1, s2, s3), cs in y3.items():
+                    if t1.plus != s1.minus or t3.plus[0] != s3.minus[0]:
+                        continue
+                    f1 = self._phi_sym(t1, s1)
+                    if not f1:
+                        continue
+                    f3 = self.phi(self.sym_elt(t3), self.antipode_minus(self.sym_elt(s3)))
+                    if not f3:
+                        continue
+                    sym = BasisSym(s2.minus, dim_add(s2.torus, t2.torus), t2.plus)
+                    _acc(acc, sym, ct * cs * f1 * f3)
+            out = tuple(sorted(acc.items()))
+        self._straight[key] = out
+        return out
 
     def mult(self, x: AlgElt, y: AlgElt) -> AlgElt:
         """Multiplication in the double, output in triangular normal form.

@@ -545,11 +545,11 @@ class ClassTable:
         return sum(1 for c in self.classes(mu) if c.indecomposable)
 
     def classify(self, rep: Rep) -> ClassId:
-        return (rep.dim, self._lookup(rep.dim, [rep.mats])[0])
+        mu = self._bounded(rep.dim)
+        return (mu, self._lookup(mu, [rep.mats])[0])
 
     def _lookup(self, mu: DimVec, reps) -> list[int]:
         """The class labels of representations of dimension mu, given as in _digits."""
-        mu = self._bounded(mu)
         self._ensure(mu)
         return self._mu[mu].lookup(_digits(reps))
 
@@ -839,10 +839,10 @@ class ClassTable:
         the canonical representative of gamma with dimension vector sub_dim
         lying in that pair of classes.
         """
-        sub_dim = self._bounded(sub_dim)
-        cache_key = (gamma, sub_dim)
+        cache_key = (gamma, tuple(sub_dim))
         if cache_key in self._hall_dist:
             return self._hall_dist[cache_key]
+        sub_dim = self._bounded(sub_dim)
         gdim = gamma[0]
         out: dict[tuple[ClassId, ClassId], int] = {}
         grep = self.cls(gamma).rep
