@@ -184,7 +184,8 @@ class DoubleHall:
     def _u_product_terms(self, a: ClassId, b: ClassId):
         """u_a u_b = v^<a,b> sum_g hall(a, b, g) u_g, as [(g, Scalar)].
 
-        The same constants serve both signs.
+        The same constants serve both signs.  On a miss a and b go through
+        the table's cls, which rejects a class index outside the table.
         """
         key = (a, b)
         if key not in self._u_prod:
@@ -195,7 +196,7 @@ class DoubleHall:
                     f"product of degrees {a[0]} and {b[0]} needs classes of "
                     f"dimension {d} beyond bound {t.bound}"
                 )
-            pref = self.field.v_pow(t.euler(a[0], b[0]))
+            pref = self.field.v_pow(t.euler(t.cls(a).dim, t.cls(b).dim))
             out = []
             for g in t.classes(d):
                 n = t.hall(a, b, g.cid)

@@ -11,13 +11,15 @@ sorted arrays per dimension vector, and a block of states is classified by
 one batch lookup.  Over F_2 the orbit walk maps native keys through
 per-byte XOR tables of the base-change generators; otherwise it maps
 unpacked digit rows.  Automorphism counts come from the orbit-stabilizer
-identity, Hall numbers from direct subrepresentation enumeration with one
-change of basis per subspace.
+identity, Hall numbers from Riedtmann's count of the classified extensions
+of every pair of classes.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +51,7 @@ DEFAULT_MAX_CLASSES = 10**6
 MAX_FIELD_SIZE = 251
 # Packed keys up to this many bits are native unsigned integers, longer ones void bytes.
 _NATIVE_KEY_BITS = 64
-# Orbit states are expanded and labelled, and candidates generated, this many rows at a time.
+# Orbit states are expanded and labelled, and extensions generated, this many rows at a time.
 _CHUNK = 1 << 15
 # Native keys of at most this many bits are walked against a visited bitmap (8 MiB at most).
 _BITMAP_KEY_BITS = 26
@@ -460,12 +462,12 @@ class _MuData:
     keys: np.ndarray
     labels: np.ndarray
 
-    def lookup(self, digits: np.ndarray) -> list[int]:
+    def lookup(self, digits: np.ndarray) -> np.ndarray:
         """The class labels of an (n, rows) uint8 block of states."""
         idx, found = _find(self.keys, self.codec.pack(digits))
         if not found.all():
             raise ValueError("representation is not nilpotent or not in the table")
-        return self.labels[idx].tolist()
+        return self.labels[idx]
 
 
 class ClassTable:
@@ -500,7 +502,6 @@ class ClassTable:
         self.max_classes = int(max_classes)
         self._mu: dict[DimVec, _MuData] = {}
         self._hall_dist: dict = {}
-        self._subspace_frames: dict = {}
         self._euler: dict = {}
         self._nclasses = 0
 
@@ -533,7 +534,10 @@ class ClassTable:
         return out
 
     def cls(self, cid: ClassId) -> RepClass:
-        return self.classes(cid[0])[cid[1]]
+        classes = self.classes(cid[0])
+        if not 0 <= cid[1] < len(classes):
+            raise ValueError(f"no class {cid_str(cid)}: {cid[0]} has {len(classes)} classes")
+        return classes[cid[1]]
 
     def aut(self, cid: ClassId) -> int:
         return self.cls(cid).aut
@@ -545,13 +549,11 @@ class ClassTable:
         return sum(1 for c in self.classes(mu) if c.indecomposable)
 
     def classify(self, rep: Rep) -> ClassId:
+        if rep.quiver != self.quiver or rep.q != self.q:
+            raise ValueError("classify requires the same quiver and field")
         mu = self._bounded(rep.dim)
-        return (mu, self._lookup(mu, [rep.mats])[0])
-
-    def _lookup(self, mu: DimVec, reps) -> list[int]:
-        """The class labels of representations of dimension mu, given as in _digits."""
         self._ensure(mu)
-        return self._mu[mu].lookup(_digits(reps))
+        return (mu, int(self._mu[mu].lookup(_digits([rep.mats]))[0]))
 
     def euler(self, a, b) -> int:
         key = (tuple(a), tuple(b))
@@ -719,46 +721,51 @@ class ClassTable:
         states[start:count].sort()
         return count
 
+    def _extensions(self, pairs):
+        """Every extension [[A, X], [0, B]] of each pair (A, B) of representations
+        of one pair of dimension vectors: (pair index per state, block).
+
+        The matrices are in the basis of A's direct sum with B.  The free block
+        X of an arrow s -> t is its rows below dim A_t and columns from dim A_s;
+        its entries run through F_q in itertools.product order, pair after
+        pair.  A digit-major block holds at most _CHUNK states, and the bases
+        of at most _CHUNK digits are built at once.
+        """
+        sub, mu = pairs[0][0].dim, dim_add(pairs[0][0].dim, pairs[0][1].dim)
+        free = []
+        n = 0
+        for s, t in self.quiver.arrows:
+            free += [n + r * mu[s] + c for r in range(sub[t]) for c in range(sub[s], mu[s])]
+            n += mu[t] * mu[s]
+        size = self.q ** len(free)
+        step = max(1, _CHUNK // (size * max(n, 1)))
+        for first in range(0, len(pairs), step):
+            group = pairs[first : first + step]
+            bases = _digits([a.direct_sum(b).mats for a, b in group])
+            for lo in range(0, size, _CHUNK):
+                ext = np.arange(lo, min(lo + _CHUNK, size))
+                index = np.repeat(np.arange(first, first + len(group)), ext.size)
+                digits = np.repeat(bases, ext.size, axis=1)
+                for row in reversed(free):  # the last free entry varies fastest
+                    digits[row] = np.tile(ext % self.q, len(group))
+                    ext //= self.q
+                yield index, digits
+
     def _candidates(self, mu: DimVec):
         """Digit-major blocks of states covering every class of dimension mu.
 
         Every nilpotent representation is an extension of a vertex simple
-        (a top composition factor) by a smaller class, so extending each
-        class of mu - e_i by a new basis vector at vertex i hits every
-        orbit.  The free entries (the new column of each arrow leaving i)
-        run through F_q in itertools.product order.  The zero dimension has
-        the one empty state.
+        (a top composition factor) by a smaller class, so the extensions of
+        the vertex simple S_i by each class of mu - e_i hit every orbit.
+        The zero dimension has the one empty state.
         """
-        q = self.q
-        arrows = self.quiver.arrows
-        shapes = self._shapes(mu)
-        n = sum(nt * ns for nt, ns in shapes)
         if not any(mu):
-            yield np.zeros((n, 1), dtype=np.uint8)
+            yield np.zeros((0, 1), dtype=np.uint8)
         for i in range(self.quiver.vertices):
-            if mu[i] == 0:
-                continue
-            nu = dim_sub(mu, self.quiver.unit_dim(i))
-            for parent in self.classes(nu):
-                base = np.zeros(n, dtype=np.uint8)
-                free = []
-                off = 0
-                for k, ((s, t), (nt, ns)) in enumerate(zip(arrows, shapes)):
-                    block = base[off : off + nt * ns].reshape(nt, ns)
-                    block[: nu[t], : nu[s]] = parent.rep.mats[k]
-                    if s == i:
-                        free.extend(off + r * ns + nu[s] for r in range(nu[t]))
-                    off += nt * ns
-                low = 0
-                while low < len(free) and q ** (low + 1) <= _CHUNK:
-                    low += 1
-                high, low_cols = free[: len(free) - low], free[len(free) - low :]
-                # Column c of grid is tuple c of itertools.product(range(q), repeat=low).
-                grid = np.indices((q,) * low, dtype=np.uint8).reshape(low, q**low)
-                for vals in itertools.product(range(q), repeat=len(high)):
-                    base[high] = vals
-                    digits = np.repeat(base[:, None], grid.shape[1], axis=1)
-                    digits[low_cols] = grid
+            if mu[i]:
+                simple = Rep.simple(self.quiver, self.q, i)
+                pairs = [(c.rep, simple) for c in self.classes(dim_sub(mu, self.quiver.unit_dim(i)))]
+                for _, digits in self._extensions(pairs):
                     yield digits
 
     def _walk(self, mu: DimVec, codec: _KeyCodec) -> tuple[np.ndarray, list[int]]:
@@ -816,7 +823,7 @@ class ClassTable:
             if summands:
                 rests = self.classes(dim_sub(mu, nu))
                 sums = [x.rep.direct_sum(y.rep).mats for x in summands for y in rests]
-                decomposable.update(data.lookup(_digits(sums)))
+                decomposable.update(data.lookup(_digits(sums)).tolist())
         group_order = 1
         for d in mu:
             group_order *= modlin.gl_order(d, self.q)
@@ -837,60 +844,34 @@ class ClassTable:
 
         Maps (quotient_cid, sub_cid) to the number of subrepresentations of
         the canonical representative of gamma with dimension vector sub_dim
-        lying in that pair of classes.
+        lying in that pair of classes.  By Riedtmann's count that number F is
+        |Gr(sub_dim, dim gamma)| |O_quot| |O_sub| z / |O_gamma|, where z is
+        the number of extensions of the pair's representatives in the class
+        gamma.  One miss fills the distributions of every class of dim gamma.
         """
         cache_key = (gamma, tuple(sub_dim))
         if cache_key in self._hall_dist:
             return self._hall_dist[cache_key]
         sub_dim = self._bounded(sub_dim)
-        gdim = gamma[0]
-        out: dict[tuple[ClassId, ClassId], int] = {}
-        grep = self.cls(gamma).rep
-        p = self.q
-        quot_dim = dim_sub(gdim, sub_dim)
-        # In a pair of frames an arrow's matrix has a zero lower-left block
-        # exactly when it maps sub into sub; the upper-left block is then the
-        # sub's matrix and the lower-right block the quotient's.
-        frames = [self._frames(d, k) for d, k in zip(gdim, sub_dim)]
-        arrows = self.quiver.arrows
-        cut = [(sub_dim[t], sub_dim[s]) for s, t in arrows]
-        subs, quots = [], []
-        for choice in itertools.product(*frames):
-            images = []
-            for (s, t), m, (r, c) in zip(arrows, grep.mats, cut):
-                img = choice[t][1] @ m @ choice[s][0] % p
-                if img[r:, :c].any():
-                    break
-                images.append(img)
-            else:
-                subs.append([img[:r, :c] for img, (r, c) in zip(images, cut)])
-                quots.append([img[r:, c:] for img, (r, c) in zip(images, cut)])
-        if subs:
-            sub_labels = self._lookup(sub_dim, subs)
-            quot_labels = self._lookup(quot_dim, quots)
-            for quot, sub in zip(quot_labels, sub_labels):
-                key = ((quot_dim, quot), (sub_dim, sub))
-                out[key] = out.get(key, 0) + 1
-        self._hall_dist[cache_key] = out
-        return out
-
-    def _frames(self, d: int, k: int) -> list:
-        """(frame, coords) per k-dimensional subspace of F_q^d, in subspace_bases
-        order: the frame's columns are the rref basis, then the unit vectors off
-        its pivots; coords, its inverse, reads v as its pivot entries c, then
-        the entries off the pivots of the residual v - basis^T c."""
-        out = self._subspace_frames.get((d, k))
-        if out is None:
-            p = self.q
-            eye = np.eye(d, dtype=np.int64)
-            out = []
-            for basis, piv in modlin.subspace_bases(d, k, p):
-                comp = [j for j in range(d) if j not in piv]
-                coords = eye[list(piv) + comp]
-                coords[k:, list(piv)] = -basis[:, comp].T % p
-                out.append((np.concatenate([basis.T, eye[:, comp]], axis=1), coords))
-            self._subspace_frames[(d, k)] = out
-        return out
+        mu = self.cls(gamma).dim
+        data = self._mu[mu]
+        dists = [{} for _ in data.classes]
+        if dim_leq(sub_dim, mu):
+            grass = math.prod(modlin.gaussian_binomial(d, k, self.q) for d, k in zip(mu, sub_dim))
+            quots, subs = self.classes(dim_sub(mu, sub_dim)), self.classes(sub_dim)
+            pairs = [(quot, sub) for quot in quots for sub in subs]
+            nc = len(data.classes)
+            z = collections.Counter()  # by pair * nc + label; np.unique's sort costs 0.9 MB of peak RSS
+            for index, digits in self._extensions([(sub.rep, quot.rep) for quot, sub in pairs]):
+                z.update((index * nc + data.lookup(digits)).tolist())
+            for code in sorted(z):  # in (quot, sub) order
+                pair, label = divmod(code, nc)
+                (quot, sub), g = pairs[pair], data.classes[label]
+                f, rem = divmod(grass * quot.orbit_size * sub.orbit_size * z[code], g.orbit_size)
+                assert rem == 0
+                dists[label][(quot.cid, sub.cid)] = f
+        self._hall_dist.update(((g.cid, sub_dim), dist) for g, dist in zip(data.classes, dists))
+        return dists[gamma[1]]
 
     def hall(self, quot: ClassId, sub: ClassId, gamma: ClassId) -> int:
         """The Hall number: subobjects of M_gamma isomorphic to M_sub with

@@ -9,7 +9,7 @@ import pytest
 from hallalg import ClassTable, DoubleHall, GroundField, Quiver, Rep, hom_dim
 from hallalg import cli
 
-from conftest import a2, jordan
+from conftest import a2, jordan, kronecker
 
 
 def test_rep_shape_validation():
@@ -36,6 +36,35 @@ def test_classify_rejects_non_nilpotent():
     bad = Rep(jordan(), 2, (1,), [np.array([[1]])])
     with pytest.raises(ValueError):
         t.classify(bad)
+
+
+def test_classify_requires_the_tables_quiver_and_field():
+    """A representation of another quiver or field is rejected before its
+    digits are packed with the table's key width."""
+    t = ClassTable(a2(), GroundField(2), (1, 1))
+    reversed_a2 = Rep(Quiver(2, [(1, 0)]), 2, (1, 1), [[[1]]])
+    over_f3 = Rep(a2(), 3, (1, 1), [[[2]]])
+    for rep in (reversed_a2, over_f3):
+        with pytest.raises(ValueError, match="same quiver and field"):
+            t.classify(rep)
+
+
+def test_class_index_outside_its_dimension_is_a_domain_error():
+    t = ClassTable(kronecker(), GroundField(2), (2, 2))
+    h = DoubleHall(t)
+    assert t.class_count((1, 1)) == 4
+    for bad in (((1, 1), -1), ((1, 1), 4), ((1, 1), 9)):
+        with pytest.raises(ValueError, match="no class"):
+            t.cls(bad)
+    with pytest.raises(ValueError, match="no class"):
+        t.hall_distribution(((1, 1), -1), (0, 1))
+    assert (((1, 1), -1), (0, 1)) not in t._hall_dist
+    with pytest.raises(ValueError, match="no class"):
+        h.phi(h.u_plus(((1, 1), -1)), h.u_minus(((1, 1), -1)))
+    with pytest.raises(ValueError, match="no class"):
+        h.mult_plus(h.u_plus(((1, 0), 0)), h.u_plus(((0, 1), 5)))
+    with pytest.raises(ValueError, match="no class"):
+        h.mult_plus(h.u_plus(((1, 0), 3)), h.u_plus(((0, 1), 0)))
 
 
 def test_table_bound_validation():

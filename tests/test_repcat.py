@@ -567,6 +567,37 @@ def test_void_keys_give_the_same_table(monkeypatch, quiver, q, bound):
             assert dist == levels.hall_distribution(g.cid, sub) == wide.hall_distribution(g.cid, sub)
 
 
+@pytest.mark.parametrize(
+    "quiver,q,bound",
+    [
+        pytest.param(kronecker(), 3, (2, 2), id="kronecker-3"),
+        pytest.param(Quiver(1, [(0, 0), (0, 0)]), 3, (2,), id="two-loops-3"),
+        pytest.param(Quiver(2, [(0, 1), (1, 0)]), 3, (2, 2), id="c2-3"),
+        pytest.param(Quiver(3, [(0, 1), (1, 2), (0, 2)]), 2, (2, 2, 2), id="x2-2"),
+    ],
+)
+def test_extension_blocks_may_split_anywhere(monkeypatch, quiver, q, bound):
+    # With blocks of four states, one pair's extensions span several blocks
+    # and every pair starts a new one.  Orbit seeds and Hall numbers come from
+    # the same blocks; neither the table nor any distribution may change.
+    default = ClassTable(quiver, GroundField(q), bound)
+    with monkeypatch.context() as m:
+        m.setattr(repcat, "_CHUNK", 4)
+        small = ClassTable(quiver, GroundField(q), bound)
+        dists = {
+            (g.cid, sub): small.hall_distribution(g.cid, sub)
+            for mu in small.degrees()
+            for g in small.classes(mu)
+            for sub in small.degrees()
+        }
+    for mu in default.degrees():
+        assert _class_rows(default, mu) == _class_rows(small, mu)
+        a, b = default._mu[mu], small._mu[mu]
+        assert a.keys.tobytes() == b.keys.tobytes() and a.labels.tobytes() == b.labels.tobytes()
+    for (cid, sub), dist in dists.items():
+        assert default.hall_distribution(cid, sub) == dist
+
+
 def test_stored_states_cost_at_most_3_bytes_each():
     t = ClassTable(jordan(), GroundField(2), (4,))
     t.classes((4,))
@@ -784,6 +815,14 @@ def test_hall_against_independent_oracle():
         for a in ta.classes((1, 0)):
             for b in ta.classes((0, 1)):
                 cases.append((a2(), 2, ta, g, a, b))
+    # Every triple at the bound: q > 2, and extensions over two arrows.
+    for quiver, q, bound in ((kronecker(), 3, (1, 2)), (Quiver(1, [(0, 0), (0, 0)]), 2, (2,))):
+        t = ClassTable(quiver, GroundField(q), bound)
+        for g in t.classes(bound):
+            for sub_mu in t.degrees():
+                for a in t.classes(tuple(x - y for x, y in zip(bound, sub_mu))):
+                    for b in t.classes(sub_mu):
+                        cases.append((quiver, q, t, g, a, b))
     for quiver, q, table, g, a, b in cases:
         expected = oracle_hall(quiver, q, g.rep, a.rep, b.rep)
         assert table.hall(a.cid, b.cid, g.cid) == expected
