@@ -377,8 +377,9 @@ def _unique(keys: np.ndarray) -> np.ndarray:
     """The sorted distinct keys; sorting beats np.unique's hash table here."""
     keys = np.sort(keys)
     keep = np.ones(keys.size, dtype=bool)
+    # An operator, not np.not_equal(..., out=...): void keys have no ufunc loop.
     keep[1:] = keys[1:] != keys[:-1]
-    return keys[keep]
+    return keys.compress(keep)
 
 
 def _mark(seen: np.ndarray, cand: np.ndarray, keys: np.ndarray):
@@ -389,17 +390,29 @@ def _mark(seen: np.ndarray, cand: np.ndarray, keys: np.ndarray):
 
 
 def _visited(bitmap: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Which native keys have their bit set: bit k & 7 of byte k >> 3."""
-    return ((bitmap[keys >> 3] >> (keys & 7)) & 1) != 0
+    """Which native keys have their bit set: bit k & 7 of byte k >> 3.
+
+    The gathered bytes stay uint8, never widened to the key dtype: they are
+    shifted and masked in place and returned as a bool view of themselves.
+    """
+    shift = keys.astype(np.uint8)  # the low byte; its low 3 bits are k & 7
+    shift &= 7
+    bits = bitmap.take(keys >> 3)
+    bits >>= shift
+    bits &= 1
+    return bits.view(bool)
 
 
 def _visit(bitmap: np.ndarray, keys: np.ndarray):
-    """Set the bits of the sorted distinct native keys."""
-    if keys.size:
-        byte = keys >> 3
-        first = np.flatnonzero(np.concatenate([[True], byte[1:] != byte[:-1]]))
-        bits = (1 << (keys & 7)).astype(np.uint8)
-        bitmap[byte[first]] |= np.bitwise_or.reduceat(bits, first)
+    """Set the bits of the native keys.
+
+    ufunc.at ORs every key's uint8 bit into its byte unbuffered, so keys
+    that share a byte keep all their bits, with no mask of byte runs; a
+    fancy `bitmap[keys >> 3] |= bits` would keep one bit per byte.
+    """
+    shift = keys.astype(np.uint8)
+    shift &= 7
+    np.bitwise_or.at(bitmap, keys >> 3, np.left_shift(1, shift, out=shift))
 
 
 def _append(states: np.ndarray, count: int, new: np.ndarray) -> int:
@@ -651,9 +664,12 @@ class ClassTable:
             # Row r of images holds the images of keys[r] under every map.
             images = np.empty(keys.shape + tables.shape[2:], dtype=keys.dtype)
             part = np.empty_like(images)
+            # Column b is byte b of every key: a strided uint8 view of the
+            # little-endian keys, which are the keys themselves on most hosts.
+            little = keys.astype(keys.dtype.newbyteorder("<"), copy=False)
+            key_bytes = little.view(np.uint8).reshape(keys.size, keys.itemsize)
             for b, table in enumerate(tables):
-                byte = (keys >> codec.dtype.type(8 * b) & codec.dtype.type(0xFF)).astype(np.intp)
-                table.take(byte, axis=0, out=part if b else images)
+                table.take(key_bytes[:, b], axis=0, out=part if b else images)
                 if b:
                     images ^= part
             return images.T.reshape(-1)
@@ -707,7 +723,9 @@ class ClassTable:
                 for a, b in (cur, prev, (cur[1], count)):
                     new = new[~_find(states[a:b], new)[1]]
             else:
-                new = _unique(keys[~_visited(bitmap, keys)])
+                fresh = _visited(bitmap, keys)
+                np.logical_not(fresh, out=fresh)
+                new = _unique(keys.compress(fresh))
             if count + new.size > self.max_states:
                 raise LimitExceeded(
                     f"orbit states at dimension {mu} exceed max_states={self.max_states}"
@@ -875,7 +893,9 @@ class ClassTable:
 
     def hall(self, quot: ClassId, sub: ClassId, gamma: ClassId) -> int:
         """The Hall number: subobjects of M_gamma isomorphic to M_sub with
-        quotient isomorphic to M_quot."""
+        quotient isomorphic to M_quot.  Every id must name a class."""
+        for cid in (quot, sub, gamma):
+            self.cls(cid)
         if dim_add(quot[0], sub[0]) != gamma[0]:
             return 0
         return self.hall_distribution(gamma, sub[0]).get((quot, sub), 0)
@@ -884,9 +904,11 @@ class ClassTable:
         """Iterated Hall number: filtrations with quotients parts[0], parts[1], ...
 
         Counts chains M_gamma = X_0 >= X_1 >= ... >= X_m = 0 with
-        X_{k-1}/X_k isomorphic to M_{parts[k-1]}.
+        X_{k-1}/X_k isomorphic to M_{parts[k-1]}.  Every id must name a class.
         """
         parts = tuple(parts)
+        for cid in (gamma, *parts):
+            self.cls(cid)
         total = self.quiver.zero_dim()
         for p in parts:
             total = dim_add(total, p[0])

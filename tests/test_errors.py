@@ -67,6 +67,30 @@ def test_class_index_outside_its_dimension_is_a_domain_error():
         h.mult_plus(h.u_plus(((1, 0), 3)), h.u_plus(((0, 1), 0)))
 
 
+def test_hall_numbers_reject_class_ids_that_name_no_class():
+    """Every id of a Hall number goes through cls, whatever the dimensions:
+    an index outside its dimension is a domain error, not a count of 0."""
+    t = ClassTable(kronecker(), GroundField(2), (2, 2))
+    assert t.hall(((1, 0), 0), ((0, 1), 0), ((1, 1), 0)) == 1
+    assert t.hall_multi(((1, 1), 0), [((1, 0), 0), ((0, 1), 0)]) == 1
+    for quot, sub, gamma in (
+        (((1, 0), 7), ((0, 1), 0), ((1, 1), 0)),
+        (((1, 0), 0), ((0, 1), 3), ((1, 1), 0)),
+        (((1, 0), 0), ((0, 1), 0), ((1, 1), 4)),
+        (((1, 0), 7), ((1, 0), 0), ((1, 1), 0)),  # dimensions that do not add up
+    ):
+        with pytest.raises(ValueError, match="no class"):
+            t.hall(quot, sub, gamma)
+    for gamma, parts in (
+        (((1, 1), 0), [((1, 0), 5), ((0, 1), 0)]),
+        (((1, 1), 0), [((1, 0), 0), ((0, 1), -1)]),
+        (((1, 1), 9), [((1, 0), 0), ((0, 1), 0)]),
+        (((0, 0), 4), []),
+    ):
+        with pytest.raises(ValueError, match="no class"):
+            t.hall_multi(gamma, parts)
+
+
 def test_table_bound_validation():
     with pytest.raises(ValueError):
         ClassTable(a2(), GroundField(2), (2,))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -606,6 +607,78 @@ def test_stored_states_cost_at_most_3_bytes_each():
     # 12-bit keys fit uint16 and the 5 class labels fit uint8.
     assert data.keys.dtype == np.uint16 and data.labels.dtype == np.uint8
     assert data.keys.nbytes + data.labels.nbytes <= 3 * data.keys.size
+
+
+@pytest.mark.parametrize("width", [7, 8, 12, 16, 25, 26])
+def test_bitmap_kernels_match_a_set_oracle(width):
+    # Key widths of every dtype the bitmap walk meets: uint8, uint16, uint32.
+    # Whole bytes of keys (8k ... 8k+7) are visited in two halves, so keys
+    # that share a byte arrive together and on top of bits already set.
+    codec = _KeyCodec(2, width)
+    assert codec.bitmapped
+    top = (1 << width) - 1
+    rng = np.random.default_rng(width)
+    runs = [k for lo in (0, 40, top - 7) for k in range(lo, lo + 8)]
+    sample = rng.integers(0, top, 300, endpoint=True).tolist()
+    first = sorted(set(sample[:150] + runs[::2]))
+    second = sorted(set(sample[150:] + runs[1::2]) - set(first))
+    bitmap = np.zeros(((1 << width) + 7) // 8, dtype=np.uint8)
+    visited = set()
+    for keys in ([], first, [], second):
+        repcat._visit(bitmap, np.array(keys, dtype=codec.dtype))
+        visited.update(keys)
+        nonzero = np.flatnonzero(bitmap)
+        rows, bits = np.nonzero(np.unpackbits(bitmap[nonzero], bitorder="little").reshape(-1, 8))
+        assert sorted((nonzero[rows] * 8 + bits).tolist()) == sorted(visited)
+    probe = sample + runs + [k ^ 1 for k in sample] + [0, top, top]
+    seen = repcat._visited(bitmap, np.array(probe, dtype=codec.dtype))
+    assert seen.dtype == bool
+    assert seen.tolist() == [k in visited for k in probe]
+    distinct = repcat._unique(np.array(probe, dtype=codec.dtype))
+    assert distinct.dtype == codec.dtype
+    assert distinct.tolist() == sorted(set(probe))
+    empty = np.array([], dtype=codec.dtype)
+    assert repcat._visited(bitmap, empty).shape == repcat._unique(empty).shape == (0,)
+
+
+# Jordan q=2 up to (5): per degree, the dtype and sha256 of the stored keys and
+# of their labels, then (aut, orbit size, indecomposable) of each class in id order.
+JORDAN_Q2_5 = {
+    (0,): ("uint8", "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+           "uint8", "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+           [(1, 1, False)]),
+    (1,): ("uint8", "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+           "uint8", "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+           [(1, 1, True)]),
+    (2,): ("uint8", "52e067d52fe8127730d21f8b7bcc3b0c7ed5d38a1eb3e468cc349150ab412b20",
+           "uint8", "cbd95ae5ef8810691e3fc7efb7c39ef9ffb661135d858aa0ccc81fc74a0160ae",
+           [(6, 1, False), (2, 3, True)]),
+    (3,): ("uint16", "9be0383fd8c0f0daed9bdfd2285bfa1c50f8ec2082d2d3e8dc0359a79f41d76e",
+           "uint8", "cd21634c075471ac4299cee3ac3fa29371dd6529b89930b79afcffe008e27a74",
+           [(168, 1, False), (8, 21, False), (4, 42, True)]),
+    (4,): ("uint16", "6e3458a359e5a96f37f581137bcb8a832189cf691fdd794f07f5d8a439eb828e",
+           "uint8", "d70a68f02bd90def5e38cb16932af7eb67a6115a8b4f7c838570c3a1bf7fefd2",
+           [(20160, 1, False), (192, 105, False), (16, 1260, False), (96, 210, False),
+            (8, 2520, True)]),
+    (5,): ("uint32", "74d542288c2f434458e651bda71237e1cf173725cee5324f2a6ccb3fb74440ae",
+           "uint8", "a0dbc9d2252c0bf8481abb48e21aabc61c91629e8e89af333574eecfac8244d8",
+           [(9999360, 1, False), (21504, 465, False), (384, 26040, False), (1536, 6510, False),
+            (32, 312480, False), (128, 78120, False), (16, 624960, True)]),
+}
+
+
+def test_jordan_q2_table_at_5_is_pinned():
+    # The bitmap walk over 2^20 states with 25-bit uint32 keys, the largest
+    # table tier-1 builds; the benchmark's classify-jordan5 workload runs it.
+    t = ClassTable(jordan(), GroundField(2), (5,))
+    for mu, (keys_dtype, keys_sha, labels_dtype, labels_sha, rows) in JORDAN_Q2_5.items():
+        classes = t.classes(mu)
+        data = t._mu[mu]
+        assert (str(data.keys.dtype), str(data.labels.dtype)) == (keys_dtype, labels_dtype)
+        assert hashlib.sha256(data.keys.tobytes()).hexdigest() == keys_sha
+        assert hashlib.sha256(data.labels.tobytes()).hexdigest() == labels_sha
+        assert [c.cid for c in classes] == [(mu, i) for i in range(len(rows))]
+        assert [(c.aut, c.orbit_size, bool(c.indecomposable)) for c in classes] == rows
 
 
 # ----- hom / ext ------------------------------------------------------------
