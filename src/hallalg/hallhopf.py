@@ -150,13 +150,18 @@ class DoubleHall:
         return AlgElt({BasisSym(self.zero_cid, self.zero_dim, self.zero_cid): self.field.one})
 
     def u_plus(self, cid: ClassId) -> AlgElt:
+        cid = self.table.cls(cid).cid
         return AlgElt({BasisSym(self.zero_cid, self.zero_dim, cid): self.field.one})
 
     def u_minus(self, cid: ClassId) -> AlgElt:
+        cid = self.table.cls(cid).cid
         return AlgElt({BasisSym(cid, self.zero_dim, self.zero_cid): self.field.one})
 
     def torus(self, mu) -> AlgElt:
-        return AlgElt({BasisSym(self.zero_cid, tuple(mu), self.zero_cid): self.field.one})
+        mu = tuple(mu)
+        if len(mu) != len(self.zero_dim) or not all(isinstance(x, int) for x in mu):
+            raise ValueError(f"torus degree {mu} needs one integer per vertex")
+        return AlgElt({BasisSym(self.zero_cid, mu, self.zero_cid): self.field.one})
 
     def sym_elt(self, sym: BasisSym) -> AlgElt:
         return AlgElt({sym: self.field.one})

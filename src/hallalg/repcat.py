@@ -8,11 +8,12 @@ flattening of a representation into digit rows (arrow matrices in
 arrow-list order, each row-major).  Every state of the variety is kept as
 one order-preserving packed key with its class label, in two parallel
 sorted arrays per dimension vector, and a block of states is classified by
-one batch lookup.  Over F_2 the orbit walk maps native keys through
-per-byte XOR tables of the base-change generators; otherwise it maps
-unpacked digit rows.  Automorphism counts come from the orbit-stabilizer
-identity, Hall numbers from Riedtmann's count of the classified extensions
-of every pair of classes.
+one batch lookup.  A class is stored as its least key, unpacked into
+matrices on demand; direct sums and extensions are laid out on digit rows.
+Over F_2 the orbit walk maps native keys through per-byte XOR tables of the
+base-change generators; otherwise it maps unpacked digit rows.
+Automorphism counts come from the orbit-stabilizer identity, Hall numbers
+from Riedtmann's count of the classified extensions of all class pairs.
 """
 
 from __future__ import annotations
@@ -169,18 +170,6 @@ class Rep:
     def simple(cls, quiver: Quiver, q: int, i: int) -> "Rep":
         return cls.zero(quiver, q, quiver.unit_dim(i))
 
-    def direct_sum(self, other: "Rep") -> "Rep":
-        if other.quiver != self.quiver or other.q != self.q:
-            raise ValueError("direct sum requires the same quiver and field")
-        dim = dim_add(self.dim, other.dim)
-        mats = []
-        for k, (s, t) in enumerate(self.quiver.arrows):
-            m = np.zeros((dim[t], dim[s]), dtype=np.int64)
-            m[: self.dim[t], : self.dim[s]] = self.mats[k]
-            m[self.dim[t] :, self.dim[s] :] = other.mats[k]
-            mats.append(m)
-        return Rep(self.quiver, self.q, dim, mats)
-
     def __repr__(self):
         return f"Rep(dim={self.dim}, q={self.q})"
 
@@ -270,10 +259,9 @@ def is_indecomposable(m: Rep, max_states: int = DEFAULT_MAX_STATES) -> bool:
 
 @dataclass(frozen=True)
 class RepClass:
-    """An isomorphism class: canonical representative plus cached invariants."""
+    """An isomorphism class and its invariants; `ClassTable.rep` decodes its representative."""
 
     cid: ClassId
-    rep: Rep
     aut: int
     orbit_size: int
     indecomposable: bool
@@ -289,13 +277,13 @@ class RepClass:
 class _KeyCodec:
     """Order-preserving packing of states into fixed-width keys.
 
-    A state is its n matrix entries in _digits order.  Each entry takes
-    `bits` bits, big-endian, so keys compare exactly as the entry tuples do
-    lexicographically.  Keys of at most _NATIVE_KEY_BITS bits are the
-    narrowest unsigned integer dtype that holds n * bits bits (uint32 for the
-    25 bits of a 5x5 matrix over F_2); longer keys are the big-endian bytes
-    of the same integer as a void dtype, which numpy sorts and compares
-    bytewise.  Only this class knows which.  Blocks of states are
+    A state is its n matrix entries, arrow after arrow, each matrix
+    row-major.  Each entry takes `bits` bits, big-endian, so keys compare
+    exactly as the entry tuples do lexicographically.  Keys of at most
+    _NATIVE_KEY_BITS bits are the narrowest unsigned integer dtype that holds
+    n * bits bits (uint32 for the 25 bits of a 5x5 matrix over F_2); longer
+    keys are the big-endian bytes of the same integer as a void dtype, which
+    numpy sorts and compares bytewise.  Only this class knows which.  Blocks of states are
     digit-major: an (n, rows) uint8 array with one row per matrix entry.
     """
 
@@ -350,18 +338,6 @@ def _slices(rows: int, cols: int) -> list[slice]:
     unless one row is longer, so that the temporaries of a batch stay small."""
     step = max(1, _CHUNK // max(cols, 1))
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
-
-
-def _digits(reps) -> np.ndarray:
-    """The (n, len(reps)) uint8 block of representations of one dimension
-    vector, each given by its matrices in arrow order.  Column r is the
-    flattening of reps[r]: its matrices in arrow order, each row-major.
-    """
-    rows = len(reps)
-    # The empty first block keeps the shape when the quiver has no arrows.
-    blocks = [np.zeros((rows, 0), dtype=np.uint8)]
-    blocks += [np.reshape(m, (rows, -1)) for m in zip(*reps)]
-    return np.concatenate(blocks, axis=1).T.astype(np.uint8)
 
 
 def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -468,12 +444,14 @@ class _MuData:
     keys is sorted; labels[i] is the class index of the state keys[i].  Both
     arrays use the narrowest unsigned dtype that holds their values (for
     Jordan q=2 at (5,): uint32 keys and uint8 labels, 5 bytes per state).
+    mins[c] is the least key of class c, its canonical representative.
     """
 
     classes: tuple[RepClass, ...]
     codec: _KeyCodec
     keys: np.ndarray
     labels: np.ndarray
+    mins: np.ndarray
 
     def lookup(self, digits: np.ndarray) -> np.ndarray:
         """The class labels of an (n, rows) uint8 block of states."""
@@ -552,6 +530,21 @@ class ClassTable:
             raise ValueError(f"no class {cid_str(cid)}: {cid[0]} has {len(classes)} classes")
         return classes[cid[1]]
 
+    def rep(self, cid: ClassId) -> Rep:
+        """The canonical representative of a class: its least key, unpacked."""
+        mu, label = self.cls(cid).cid
+        shapes = self._shapes(mu)
+        row = self._digit_columns(mu, [label])[:, 0]
+        parts = np.split(row, np.cumsum([r * c for r, c in shapes])[:-1])
+        return Rep(self.quiver, self.q, mu, [m.reshape(shape) for m, shape in zip(parts, shapes)])
+
+    def _digit_columns(self, mu: DimVec, labels=slice(None)) -> np.ndarray:
+        """The digit-major block of the canonical representatives of the
+        classes of mu with the given labels, all by default, in that order."""
+        self._ensure(mu)
+        data = self._mu[mu]
+        return data.codec.unpack(data.mins[labels])
+
     def aut(self, cid: ClassId) -> int:
         return self.cls(cid).aut
 
@@ -566,7 +559,8 @@ class ClassTable:
             raise ValueError("classify requires the same quiver and field")
         mu = self._bounded(rep.dim)
         self._ensure(mu)
-        return (mu, int(self._mu[mu].lookup(_digits([rep.mats]))[0]))
+        row = np.array([x for m in rep.mats for x in m.flat], dtype=np.uint8)
+        return (mu, int(self._mu[mu].lookup(row[:, None])[0]))
 
     def euler(self, a, b) -> int:
         key = (tuple(a), tuple(b))
@@ -581,11 +575,6 @@ class ClassTable:
 
     def _shapes(self, mu: DimVec):
         return [(mu[t], mu[s]) for s, t in self.quiver.arrows]
-
-    def _mats_from_row(self, row: np.ndarray, mu: DimVec) -> list[np.ndarray]:
-        shapes = self._shapes(mu)
-        cuts = np.cumsum([nt * ns for nt, ns in shapes])[:-1]
-        return [b.reshape(shape) for b, shape in zip(np.split(row.astype(np.int64), cuts), shapes)]
 
     def _state_maps(self, mu: DimVec, inverses: bool) -> tuple[int, list]:
         """The base-change generators, and their inverses if asked, as sparse
@@ -739,33 +728,43 @@ class ClassTable:
         states[start:count].sort()
         return count
 
-    def _extensions(self, pairs):
-        """Every extension [[A, X], [0, B]] of each pair (A, B) of representations
-        of one pair of dimension vectors: (pair index per state, block).
-
-        The matrices are in the basis of A's direct sum with B.  The free block
-        X of an arrow s -> t is its rows below dim A_t and columns from dim A_s;
-        its entries run through F_q in itertools.product order, pair after
-        pair.  A digit-major block holds at most _CHUNK states, and the bases
-        of at most _CHUNK digits are built at once.
-        """
-        sub, mu = pairs[0][0].dim, dim_add(pairs[0][0].dim, pairs[0][1].dim)
-        free = []
+    def _direct_sums(self, a: DimVec, b: DimVec, left: np.ndarray, right: np.ndarray):
+        """The digit-major block of the direct sums of the columns A of left
+        (states of dimension a) with the same columns B of right (dimension
+        b), and the rows of the free block X of [[A, X], [0, B]], the matrix
+        of each arrow in the basis of A's direct sum with B."""
+        mu = dim_add(a, b)
+        rows_a, rows_b, free = [], [], []
         n = 0
         for s, t in self.quiver.arrows:
-            free += [n + r * mu[s] + c for r in range(sub[t]) for c in range(sub[s], mu[s])]
+            cells = np.arange(n, n + mu[t] * mu[s]).reshape(mu[t], mu[s])
+            rows_a += cells[: a[t], : a[s]].ravel().tolist()
+            rows_b += cells[a[t] :, a[s] :].ravel().tolist()
+            free += cells[: a[t], a[s] :].ravel().tolist()
             n += mu[t] * mu[s]
+        sums = np.zeros((n, left.shape[1]), dtype=np.uint8)
+        sums[rows_a] = left
+        sums[rows_b] = right
+        return sums, free
+
+    def _extensions(self, a: DimVec, b: DimVec, left: np.ndarray, right: np.ndarray):
+        """Every extension [[A, X], [0, B]] of each pair of columns (A, B) of
+        left and right (see _direct_sums): (pair index per state, block).
+
+        The entries of X run through F_q in itertools.product order, pair
+        after pair.  A digit-major block holds at most _CHUNK states.
+        """
+        bases, free = self._direct_sums(a, b, left, right)
         size = self.q ** len(free)
-        step = max(1, _CHUNK // (size * max(n, 1)))
-        for first in range(0, len(pairs), step):
-            group = pairs[first : first + step]
-            bases = _digits([a.direct_sum(b).mats for a, b in group])
+        step = max(1, _CHUNK // (size * max(len(bases), 1)))
+        for first in range(0, bases.shape[1], step):
+            group = bases[:, first : first + step]
             for lo in range(0, size, _CHUNK):
                 ext = np.arange(lo, min(lo + _CHUNK, size))
-                index = np.repeat(np.arange(first, first + len(group)), ext.size)
-                digits = np.repeat(bases, ext.size, axis=1)
+                index = np.repeat(np.arange(first, first + group.shape[1]), ext.size)
+                digits = np.repeat(group, ext.size, axis=1)
                 for row in reversed(free):  # the last free entry varies fastest
-                    digits[row] = np.tile(ext % self.q, len(group))
+                    digits[row] = np.tile(ext % self.q, group.shape[1])
                     ext //= self.q
                 yield index, digits
 
@@ -774,16 +773,17 @@ class ClassTable:
 
         Every nilpotent representation is an extension of a vertex simple
         (a top composition factor) by a smaller class, so the extensions of
-        the vertex simple S_i by each class of mu - e_i hit every orbit.
-        The zero dimension has the one empty state.
+        the vertex simple S_i, zero on the loops at i, by each class of
+        mu - e_i hit every orbit.  The zero dimension has the one empty state.
         """
         if not any(mu):
             yield np.zeros((0, 1), dtype=np.uint8)
         for i in range(self.quiver.vertices):
             if mu[i]:
-                simple = Rep.simple(self.quiver, self.q, i)
-                pairs = [(c.rep, simple) for c in self.classes(dim_sub(mu, self.quiver.unit_dim(i)))]
-                for _, digits in self._extensions(pairs):
+                unit = self.quiver.unit_dim(i)
+                rests = self._digit_columns(dim_sub(mu, unit))
+                simple = np.zeros((self.quiver.arrows.count((i, i)), rests.shape[1]), np.uint8)
+                for _, digits in self._extensions(dim_sub(mu, unit), unit, rests, simple):
                     yield digits
 
     def _walk(self, mu: DimVec, codec: _KeyCodec) -> tuple[np.ndarray, list[int]]:
@@ -832,27 +832,24 @@ class ClassTable:
             raise LimitExceeded(
                 f"class count exceeds max_classes={self.max_classes} at dimension {mu}"
             )
-        data = _MuData((), codec, keys, labels)
+        data = _MuData((), codec, keys, labels, mins)
         # Krull-Schmidt: a class is decomposable exactly when it has an
         # indecomposable summand of a smaller nonzero dimension.
         decomposable = set()
         for nu in dims_below(mu)[1:-1]:
-            summands = [x for x in self.classes(nu) if x.indecomposable]
+            summands = [x.cid[1] for x in self.classes(nu) if x.indecomposable]
             if summands:
-                rests = self.classes(dim_sub(mu, nu))
-                sums = [x.rep.direct_sum(y.rep).mats for x in summands for y in rests]
-                decomposable.update(data.lookup(_digits(sums)).tolist())
-        group_order = 1
-        for d in mu:
-            group_order *= modlin.gl_order(d, self.q)
-        classes = []
-        for new, (row, size) in enumerate(zip(codec.unpack(mins).T, sizes)):
-            assert group_order % size == 0
-            rep = Rep(self.quiver, self.q, mu, self._mats_from_row(row, mu))
-            classes.append(
-                RepClass((mu, new), rep, group_order // size, size, any(mu) and new not in decomposable)
-            )
-        data.classes = tuple(classes)
+                rest = dim_sub(mu, nu)
+                rests = self._digit_columns(rest)
+                left = np.repeat(self._digit_columns(nu, summands), rests.shape[1], axis=1)
+                sums, _ = self._direct_sums(nu, rest, left, np.tile(rests, len(summands)))
+                decomposable.update(data.lookup(sums).tolist())
+        group_order = math.prod(modlin.gl_order(d, self.q) for d in mu)
+        assert all(group_order % size == 0 for size in sizes)
+        data.classes = tuple(
+            RepClass((mu, new), group_order // size, size, any(mu) and new not in decomposable)
+            for new, size in enumerate(sizes)
+        )
         self._mu[mu] = data
 
     # ----- Hall numbers ---------------------------------------------------
@@ -876,15 +873,17 @@ class ClassTable:
         dists = [{} for _ in data.classes]
         if dim_leq(sub_dim, mu):
             grass = math.prod(modlin.gaussian_binomial(d, k, self.q) for d, k in zip(mu, sub_dim))
-            quots, subs = self.classes(dim_sub(mu, sub_dim)), self.classes(sub_dim)
-            pairs = [(quot, sub) for quot in quots for sub in subs]
+            quot_dim = dim_sub(mu, sub_dim)
+            quots, subs = self.classes(quot_dim), self.classes(sub_dim)
             nc = len(data.classes)
             z = collections.Counter()  # by pair * nc + label; np.unique's sort costs 0.9 MB of peak RSS
-            for index, digits in self._extensions([(sub.rep, quot.rep) for quot, sub in pairs]):
+            left = np.tile(self._digit_columns(sub_dim), len(quots))
+            right = np.repeat(self._digit_columns(quot_dim), len(subs), axis=1)
+            for index, digits in self._extensions(sub_dim, quot_dim, left, right):
                 z.update((index * nc + data.lookup(digits)).tolist())
             for code in sorted(z):  # in (quot, sub) order
                 pair, label = divmod(code, nc)
-                (quot, sub), g = pairs[pair], data.classes[label]
+                quot, sub, g = quots[pair // len(subs)], subs[pair % len(subs)], data.classes[label]
                 f, rem = divmod(grass * quot.orbit_size * sub.orbit_size * z[code], g.orbit_size)
                 assert rem == 0
                 dists[label][(quot.cid, sub.cid)] = f
@@ -922,7 +921,7 @@ class ClassTable:
                    for (quot_cid, sub_cid), g in dist.items() if quot_cid == first)
 
     def hom(self, a: ClassId, b: ClassId) -> int:
-        return hom_dim(self.cls(a).rep, self.cls(b).rep)
+        return hom_dim(self.rep(a), self.rep(b))
 
     def __repr__(self):
         return (

@@ -56,6 +56,8 @@ def test_class_index_outside_its_dimension_is_a_domain_error():
     for bad in (((1, 1), -1), ((1, 1), 4), ((1, 1), 9)):
         with pytest.raises(ValueError, match="no class"):
             t.cls(bad)
+        with pytest.raises(ValueError, match="no class"):
+            t.rep(bad)
     with pytest.raises(ValueError, match="no class"):
         t.hall_distribution(((1, 1), -1), (0, 1))
     assert (((1, 1), -1), (0, 1)) not in t._hall_dist
@@ -65,6 +67,23 @@ def test_class_index_outside_its_dimension_is_a_domain_error():
         h.mult_plus(h.u_plus(((1, 0), 0)), h.u_plus(((0, 1), 5)))
     with pytest.raises(ValueError, match="no class"):
         h.mult_plus(h.u_plus(((1, 0), 3)), h.u_plus(((0, 1), 0)))
+
+
+def test_element_constructors_reject_what_names_no_basis_element():
+    """u_plus and u_minus take a class id, torus one integer per vertex.
+    Otherwise omega, phi, counit and mult would answer for a basis element
+    that does not exist."""
+    t = ClassTable(kronecker(), GroundField(2), (2, 2))
+    h = DoubleHall(t)
+    assert h.u_plus(((1, 0), 0)) == h.omega(h.u_minus(((1, 0), 0)))
+    bad = ((1, 0), 3)
+    for make in (h.u_plus, h.u_minus):
+        with pytest.raises(ValueError, match="no class"):
+            make(bad)
+    for mu in ((1, 0, 5), (1,), (), (1.0, 0), ("1", 0)):
+        with pytest.raises(ValueError, match="one integer per vertex"):
+            h.torus(mu)
+    assert h.mult(h.torus((1, 0)), h.torus((0, -1))) == h.torus((1, -1))
 
 
 def test_hall_numbers_reject_class_ids_that_name_no_class():
@@ -124,13 +143,6 @@ def test_hall_distribution_rejects_malformed_sub_dimension():
     for sub_dim in ((1,), (-1, 1), (2, 0)):
         with pytest.raises(ValueError, match="outside table bound"):
             t.hall_distribution(gamma, sub_dim)
-
-
-def test_direct_sum_requires_same_context():
-    m = Rep.simple(a2(), 2, 0)
-    n = Rep.simple(jordan(), 2, 0)
-    with pytest.raises(ValueError):
-        m.direct_sum(n)
 
 
 A2_BOUND_11 = """

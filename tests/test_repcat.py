@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -248,6 +249,20 @@ def test_jordan_class_counts_are_partition_numbers():
         assert t3.class_count((n,)) == partitions[n]
 
 
+def test_classes_keep_their_least_keys_not_their_matrices():
+    # The 10-loop quiver over F_2 at (2,): 1024 classes of 40-bit keys.  Each
+    # class keeps its invariants and its least key in the table's mins
+    # array, about 0.2 KB; matrices are decoded by ClassTable.rep on demand.
+    t = ClassTable(Quiver(1, [(0, 0)] * 10), GroundField(2), (2,))
+    tracemalloc.start()
+    try:
+        assert t.class_count((2,)) == 1024
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.5e6
+
+
 def test_two_loop_quiver_single_simple():
     two_loops = Quiver(1, [(0, 0), (0, 0)])
     assert ClassTable(two_loops, GroundField(2), (1,)).class_count((1,)) == 1
@@ -304,7 +319,7 @@ def test_table_aut_matches_enumerated_aut():
             t = ClassTable(quiver, GroundField(q), bound)
             for mu in t.degrees():
                 for c in t.classes(mu):
-                    assert c.aut == aut_count(c.rep)
+                    assert c.aut == aut_count(t.rep(c.cid))
 
 
 def test_aut_examples():
@@ -324,8 +339,8 @@ def test_determinism():
     for mu in a.degrees():
         ca, cb = a.classes(mu), b.classes(mu)
         assert [c.cid for c in ca] == [c.cid for c in cb]
-        assert [[m.tolist() for m in c.rep.mats] for c in ca] == [
-            [m.tolist() for m in c.rep.mats] for c in cb
+        assert [[m.tolist() for m in a.rep(c.cid).mats] for c in ca] == [
+            [m.tolist() for m in b.rep(c.cid).mats] for c in cb
         ]
         assert [c.aut for c in ca] == [c.aut for c in cb]
 
@@ -342,7 +357,7 @@ def test_canonical_rep_is_lex_min_in_orbit():
     for quiver, q, mu in cases:
         t = ClassTable(quiver, GroundField(q), mu)
         for c in t.classes(mu):
-            mats = _as_tuples(c.rep.mats)
+            mats = _as_tuples(t.rep(c.cid).mats)
             best = None
             count = 0
             for g in _invertible_tuples(mu, q):
@@ -354,7 +369,7 @@ def test_canonical_rep_is_lex_min_in_orbit():
                 if best is None or flat < best:
                     best = flat
             assert best == tuple(
-                int(x) for m in c.rep.mats for row in m for x in row
+                int(x) for m in t.rep(c.cid).mats for row in m for x in row
             )
 
 
@@ -400,7 +415,7 @@ def test_classify_every_point_by_brute_force_orbit_minimum():
     for quiver, q, mu in cases:
         t = ClassTable(quiver, GroundField(q), mu)
         by_rep = {
-            tuple(int(x) for m in c.rep.mats for x in m.flat): c.cid
+            tuple(int(x) for m in t.rep(c.cid).mats for x in m.flat): c.cid
             for c in t.classes(mu)
         }
         group = [(g, [_mat_inv_brute(x, q) for x in g]) for g in _invertible_tuples(mu, q)]
@@ -521,7 +536,7 @@ def _full_table(monkeypatch, quiver, q, bound, **patch):
 
 def _class_rows(t, mu):
     return [
-        (c.cid, [m.tolist() for m in c.rep.mats], c.aut, c.orbit_size, c.indecomposable)
+        (c.cid, [m.tolist() for m in t.rep(c.cid).mats], c.aut, c.orbit_size, c.indecomposable)
         for c in t.classes(mu)
     ]
 
@@ -566,6 +581,14 @@ def test_void_keys_give_the_same_table(monkeypatch, quiver, q, bound):
         for sub in bitmap.degrees():
             dist = bitmap.hall_distribution(g.cid, sub)
             assert dist == levels.hall_distribution(g.cid, sub) == wide.hall_distribution(g.cid, sub)
+    # Each walk's representative is decoded from its least key on every call
+    # and classifies back to its class.
+    for t in (bitmap, levels, wide):
+        for mu in t.degrees():
+            for c in t.classes(mu):
+                rep = t.rep(c.cid)
+                assert t.classify(rep) == c.cid
+                assert all(np.array_equal(x, y) for x, y in zip(rep.mats, t.rep(c.cid).mats))
 
 
 @pytest.mark.parametrize(
@@ -686,7 +709,7 @@ def test_jordan_q2_table_at_5_is_pinned():
 
 def test_hom_simples_delta():
     t = ClassTable(a2(), GroundField(2), (1, 1))
-    s1, s2 = [t.cls(c).rep for c in t.simple_ids()]
+    s1, s2 = [t.rep(c) for c in t.simple_ids()]
     assert hom_dim(s1, s1) == 1
     assert hom_dim(s2, s2) == 1
     assert hom_dim(s1, s2) == 0
@@ -695,15 +718,15 @@ def test_hom_simples_delta():
 
 def test_hom_with_indecomposable():
     t = ClassTable(a2(), GroundField(2), (1, 1))
-    s1, s2 = [t.cls(c).rep for c in t.simple_ids()]
-    x = next(c.rep for c in t.classes((1, 1)) if c.indecomposable)
+    s1, s2 = [t.rep(c) for c in t.simple_ids()]
+    x = next(t.rep(c.cid) for c in t.classes((1, 1)) if c.indecomposable)
     assert hom_dim(x, s1) == 1
     assert hom_dim(s1, x) == 0
 
 
 def test_ext_orientation():
     t = ClassTable(a2(), GroundField(2), (1, 1))
-    s1, s2 = [t.cls(c).rep for c in t.simple_ids()]
+    s1, s2 = [t.rep(c) for c in t.simple_ids()]
     # The one-dimensional extension group sits on the side realized by the
     # nonsplit subobject count below.
     assert ext_dim(s1, s2) == 1
@@ -719,7 +742,7 @@ def test_ext_orientation():
 def test_ext_examples():
     jq = jordan()
     t = ClassTable(jq, GroundField(2), (1,))
-    s = t.classes((1,))[0].rep
+    s = t.rep(t.classes((1,))[0].cid)
     assert ext_dim(s, s) == 1
     zero = Rep.zero(jq, 2, (0,))
     assert ext_dim(s, zero) == 0
@@ -770,7 +793,7 @@ def _brute_hom_count(quiver, q, m, n):
 )
 def test_hom_dim_and_end_basis_match_brute_force_intertwiners(quiver, q, bound):
     t = ClassTable(quiver, GroundField(q), bound)
-    reps = [c.rep for mu in t.degrees() for c in t.classes(mu)]
+    reps = [t.rep(c.cid) for mu in t.degrees() for c in t.classes(mu)]
     for m in reps:
         for f in repcat.end_basis(m):
             assert _intertwines(quiver, q, m, m, f)
@@ -781,7 +804,7 @@ def test_hom_dim_and_end_basis_match_brute_force_intertwiners(quiver, q, bound):
 def test_euler_equals_hom_minus_ext():
     for quiver, bound in ((jordan(), (2,)), (a2(), (2, 2)), (kronecker(), (1, 1))):
         t = ClassTable(quiver, GroundField(2), bound)
-        reps = [c.rep for mu in t.degrees() for c in t.classes(mu)]
+        reps = [t.rep(c.cid) for mu in t.degrees() for c in t.classes(mu)]
         for m in reps:
             for n in reps:
                 assert euler_form(quiver, m.dim, n.dim) == hom_dim(m, n) - ext_dim(m, n)
@@ -792,12 +815,12 @@ def test_euler_equals_hom_minus_ext():
 
 def test_indecomposable_examples():
     t = ClassTable(a2(), GroundField(2), (1, 1))
-    s1 = t.cls(t.simple_ids()[0]).rep
+    s1 = t.rep(t.simple_ids()[0])
     assert is_indecomposable(s1)
-    split = next(c.rep for c in t.classes((1, 1)) if not c.indecomposable)
+    split = next(t.rep(c.cid) for c in t.classes((1, 1)) if not c.indecomposable)
     assert not is_indecomposable(split)
     tj = ClassTable(jordan(), GroundField(2), (2,))
-    block = next(c.rep for c in tj.classes((2,)) if c.indecomposable)
+    block = next(tj.rep(c.cid) for c in tj.classes((2,)) if c.indecomposable)
     assert is_indecomposable(block)
 
 
@@ -820,7 +843,7 @@ def test_table_flags_match_idempotent_scan():
             if sum(mu) == 0:
                 continue
             for c in t.classes(mu):
-                assert c.indecomposable == is_indecomposable(c.rep)
+                assert c.indecomposable == is_indecomposable(t.rep(c.cid))
 
 
 def test_kronecker_indecomposables_at_11():
@@ -855,7 +878,7 @@ def test_hall_multi(jordan_q2, jordan_q3):
     s = t.simple_ids()[0]
     flags = {c.cid: t.hall_multi(c.cid, (s, s, s)) for c in t.classes((3,))}
     zero_class3 = next(
-        c.cid for c in t.classes((3,)) if not np.concatenate(c.rep.mats, axis=None).any()
+        c.cid for c in t.classes((3,)) if not np.concatenate(t.rep(c.cid).mats, axis=None).any()
     )
     assert flags[zero_class3] == 21
     for g in t.classes((2,)):
@@ -897,7 +920,7 @@ def test_hall_against_independent_oracle():
                     for b in t.classes(sub_mu):
                         cases.append((quiver, q, t, g, a, b))
     for quiver, q, table, g, a, b in cases:
-        expected = oracle_hall(quiver, q, g.rep, a.rep, b.rep)
+        expected = oracle_hall(quiver, q, table.rep(g.cid), table.rep(a.cid), table.rep(b.cid))
         assert table.hall(a.cid, b.cid, g.cid) == expected
 
 
@@ -928,8 +951,8 @@ def test_hall_numbers_satisfy_riedtmanns_sum_rule():
                 if any(x > b for x, b in zip(total, bound)):
                     continue
                 lhs = sum(Fraction(t.hall(m.cid, n.cid, g.cid), g.aut) for g in t.classes(total))
-                lhs *= m.aut * n.aut * q ** hom_dim(m.rep, n.rep)
-                assert lhs == q ** ext_dim(m.rep, n.rep), (quiver, q, m, n)
+                lhs *= m.aut * n.aut * q ** hom_dim(t.rep(m.cid), t.rep(n.cid))
+                assert lhs == q ** ext_dim(t.rep(m.cid), t.rep(n.cid)), (quiver, q, m, n)
                 pairs += 1
     assert pairs == 175
 
@@ -1000,7 +1023,7 @@ def test_jordan_hall_numbers_match_macdonalds_vertical_strip_formula(q, n, tripl
     # form; partitions come from ranks of powers, not from the table's lookup.
     # The Jordan Hall algebra is commutative, so either slot may hold (1^m).
     t = ClassTable(jordan(), GroundField(q), (n,))
-    conj = {c.cid: _jordan_type_conjugate(c.rep, q) for mu in t.degrees() for c in t.classes(mu)}
+    conj = {c.cid: _jordan_type_conjugate(t.rep(c.cid), q) for mu in t.degrees() for c in t.classes(mu)}
     checked = 0
     for lam in (c for d in range(1, n + 1) for c in t.classes((d,))):
         for m in range(1, lam.dim[0] + 1):
@@ -1028,7 +1051,7 @@ def test_kronecker_rational_tube_matches_jordan_hall_numbers():
     for k in range(1, n + 1):
         found = 0
         for c in kr.classes((k, k)):
-            a, b = _as_tuples(c.rep.mats)
+            a, b = _as_tuples(kr.rep(c.cid).mats)
             if not _is_invertible(a, q):
                 continue
             nil = _mat_mul(_mat_inv_brute(a, q), b, q)
@@ -1077,7 +1100,7 @@ def test_x2_exceptional_tube_matches_c2_hall_numbers(q):
         if v1 + v2 == 0:
             continue
         for c in ax.classes((v2, v1, v2)):
-            a12, a23, a13 = _as_tuples(c.rep.mats)
+            a12, a23, a13 = _as_tuples(ax.rep(c.cid).mats)
             if not _is_invertible(a13, q):
                 continue
             b = _mat_mul(_mat_inv_brute(a13, q), a23, q)
