@@ -189,7 +189,7 @@ def extend_datum(H: DoubleHall) -> ExtendedDatum:
     new_labels = []
     generators: dict = {}
     records = []
-    for theta in dims_below(table.bound):
+    for theta in table.degrees():
         if sum(theta) < 2:
             continue
         lsp = primitive_space(H, theta)

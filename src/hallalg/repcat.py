@@ -160,16 +160,6 @@ class Rep:
                 )
         self.mats = mats
 
-    @classmethod
-    def zero(cls, quiver: Quiver, q: int, dim) -> "Rep":
-        dim = tuple(dim)
-        mats = [np.zeros((dim[t], dim[s]), dtype=np.int64) for s, t in quiver.arrows]
-        return cls(quiver, q, dim, mats)
-
-    @classmethod
-    def simple(cls, quiver: Quiver, q: int, i: int) -> "Rep":
-        return cls.zero(quiver, q, quiver.unit_dim(i))
-
     def __repr__(self):
         return f"Rep(dim={self.dim}, q={self.q})"
 
@@ -499,6 +489,14 @@ class ClassTable:
     # ----- enumeration ---------------------------------------------------
 
     def degrees(self) -> list[DimVec]:
+        """Every dimension vector within the bound.  Each holds a class, so a
+        bound with more of them than max_classes is refused before any is built."""
+        count = math.prod(b + 1 for b in self.bound)
+        if count > self.max_classes:
+            raise LimitExceeded(
+                f"bound {self.bound} has {count} dimension vectors, above max_classes="
+                f"{self.max_classes}; lower [limits] bound or raise [limits] max_classes"
+            )
         return dims_below(self.bound)
 
     def _bounded(self, mu) -> DimVec:
@@ -729,10 +727,11 @@ class ClassTable:
         return count
 
     def _direct_sums(self, a: DimVec, b: DimVec, left: np.ndarray, right: np.ndarray):
-        """The digit-major block of the direct sums of the columns A of left
-        (states of dimension a) with the same columns B of right (dimension
-        b), and the rows of the free block X of [[A, X], [0, B]], the matrix
-        of each arrow in the basis of A's direct sum with B."""
+        """The digit-major block of the direct sums of every column A of left
+        (states of dimension a) with every column B of right (dimension b),
+        B after B with A varying fastest, and the rows of the free block X of
+        [[A, X], [0, B]], the matrix of each arrow in the basis of A ⊕ B.
+        This is the one pair order of the Hall layers."""
         mu = dim_add(a, b)
         rows_a, rows_b, free = [], [], []
         n = 0
@@ -742,31 +741,30 @@ class ClassTable:
             rows_b += cells[a[t] :, a[s] :].ravel().tolist()
             free += cells[: a[t], a[s] :].ravel().tolist()
             n += mu[t] * mu[s]
-        sums = np.zeros((n, left.shape[1]), dtype=np.uint8)
-        sums[rows_a] = left
-        sums[rows_b] = right
+        sums = np.zeros((n, left.shape[1] * right.shape[1]), dtype=np.uint8)
+        sums[rows_a] = np.tile(left, right.shape[1])
+        sums[rows_b] = np.repeat(right, left.shape[1], axis=1)
         return sums, free
 
     def _extensions(self, a: DimVec, b: DimVec, left: np.ndarray, right: np.ndarray):
         """Every extension [[A, X], [0, B]] of each pair of columns (A, B) of
         left and right (see _direct_sums): (pair index per state, block).
 
-        The entries of X run through F_q in itertools.product order, pair
-        after pair.  A digit-major block holds at most _CHUNK states.
+        State k is pair k // q^f, with the f entries of X the base-q digits of
+        k % q^f, last entry fastest, in blocks of at most _CHUNK states.
         """
-        bases, free = self._direct_sums(a, b, left, right)
+        sums, free = self._direct_sums(a, b, left, right)
         size = self.q ** len(free)
-        step = max(1, _CHUNK // (size * max(len(bases), 1)))
-        for first in range(0, bases.shape[1], step):
-            group = bases[:, first : first + step]
-            for lo in range(0, size, _CHUNK):
-                ext = np.arange(lo, min(lo + _CHUNK, size))
-                index = np.repeat(np.arange(first, first + group.shape[1]), ext.size)
-                digits = np.repeat(group, ext.size, axis=1)
-                for row in reversed(free):  # the last free entry varies fastest
-                    digits[row] = np.tile(ext % self.q, group.shape[1])
-                    ext //= self.q
-                yield index, digits
+        total = sums.shape[1] * size
+        for lo in range(0, total, _CHUNK):
+            ext = np.arange(lo, min(lo + _CHUNK, total))
+            pair = ext // size
+            digits = sums.take(pair, axis=1)
+            ext %= size
+            for row in reversed(free):
+                digits[row] = ext % self.q
+                ext //= self.q
+            yield pair, digits
 
     def _candidates(self, mu: DimVec):
         """Digit-major blocks of states covering every class of dimension mu.
@@ -781,9 +779,9 @@ class ClassTable:
         for i in range(self.quiver.vertices):
             if mu[i]:
                 unit = self.quiver.unit_dim(i)
-                rests = self._digit_columns(dim_sub(mu, unit))
-                simple = np.zeros((self.quiver.arrows.count((i, i)), rests.shape[1]), np.uint8)
-                for _, digits in self._extensions(dim_sub(mu, unit), unit, rests, simple):
+                rest = dim_sub(mu, unit)
+                simple = np.zeros((self.quiver.arrows.count((i, i)), 1), np.uint8)
+                for _, digits in self._extensions(rest, unit, self._digit_columns(rest), simple):
                     yield digits
 
     def _walk(self, mu: DimVec, codec: _KeyCodec) -> tuple[np.ndarray, list[int]]:
@@ -840,9 +838,8 @@ class ClassTable:
             summands = [x.cid[1] for x in self.classes(nu) if x.indecomposable]
             if summands:
                 rest = dim_sub(mu, nu)
-                rests = self._digit_columns(rest)
-                left = np.repeat(self._digit_columns(nu, summands), rests.shape[1], axis=1)
-                sums, _ = self._direct_sums(nu, rest, left, np.tile(rests, len(summands)))
+                left, right = self._digit_columns(nu, summands), self._digit_columns(rest)
+                sums, _ = self._direct_sums(nu, rest, left, right)
                 decomposable.update(data.lookup(sums).tolist())
         group_order = math.prod(modlin.gl_order(d, self.q) for d in mu)
         assert all(group_order % size == 0 for size in sizes)
@@ -877,8 +874,7 @@ class ClassTable:
             quots, subs = self.classes(quot_dim), self.classes(sub_dim)
             nc = len(data.classes)
             z = collections.Counter()  # by pair * nc + label; np.unique's sort costs 0.9 MB of peak RSS
-            left = np.tile(self._digit_columns(sub_dim), len(quots))
-            right = np.repeat(self._digit_columns(quot_dim), len(subs), axis=1)
+            left, right = self._digit_columns(sub_dim), self._digit_columns(quot_dim)
             for index, digits in self._extensions(sub_dim, quot_dim, left, right):
                 z.update((index * nc + data.lookup(digits)).tolist())
             for code in sorted(z):  # in (quot, sub) order

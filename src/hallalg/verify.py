@@ -512,7 +512,7 @@ def suite_character(table: ClassTable) -> CheckReport:
     """Truncated product over indecomposables against per-degree class counts."""
     rep = CheckReport("character")
     bound = table.bound
-    counts = {mu: table.indec_count(mu) for mu in dims_below(bound)}
+    counts = {mu: table.indec_count(mu) for mu in table.degrees()}
     poly = {tuple(0 for _ in bound): 1}
     for alpha, mult in sorted(counts.items()):
         if not mult:
@@ -525,7 +525,7 @@ def suite_character(table: ClassTable) -> CheckReport:
             k += 1
             vec = tuple(k * a for a in alpha)
         poly = _poly_mul(poly, factor, bound)
-    for mu in dims_below(bound):
+    for mu in table.degrees():
         rep.check(
             f"coefficient[{mu}]",
             poly.get(mu, 0),

@@ -2,10 +2,11 @@ import contextlib
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from hallalg import ClassTable, GroundField, Quiver
+from hallalg import ClassTable, GroundField, Quiver, Rep
 from hallalg.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -24,6 +25,11 @@ def a2():
 
 def kronecker():
     return Quiver(2, [(0, 1), (0, 1)])
+
+
+def zero_rep(quiver, q, dim):
+    """The representation of dimension dim with every arrow zero."""
+    return Rep(quiver, q, dim, [np.zeros((dim[t], dim[s]), dtype=np.int64) for s, t in quiver.arrows])
 
 
 @pytest.fixture(scope="session")

@@ -242,6 +242,13 @@ def test_main_entry(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"# caf\xe9\n" + A2_TEXT.encode())
+    assert main(["classify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_shipped_configs_are_consistent():
     import pathlib
 

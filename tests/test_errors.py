@@ -6,10 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hallalg import ClassTable, DoubleHall, GroundField, Quiver, Rep, hom_dim
+from hallalg import ClassTable, DoubleHall, GroundField, LimitExceeded, Quiver, Rep, hom_dim
 from hallalg import cli
 
-from conftest import a2, jordan, kronecker
+from conftest import a2, jordan, kronecker, zero_rep
 
 
 def test_rep_shape_validation():
@@ -22,11 +22,11 @@ def test_rep_shape_validation():
 
 
 def test_hom_requires_matching_context():
-    m = Rep.simple(a2(), 2, 0)
-    n = Rep.simple(jordan(), 2, 0)
+    m = zero_rep(a2(), 2, (1, 0))
+    n = zero_rep(jordan(), 2, (1,))
     with pytest.raises(ValueError):
         hom_dim(m, n)
-    n3 = Rep.simple(a2(), 3, 0)
+    n3 = zero_rep(a2(), 3, (1, 0))
     with pytest.raises(ValueError):
         hom_dim(m, n3)
 
@@ -133,7 +133,7 @@ def test_classify_outside_the_bound_is_a_domain_error():
     vector is enumerated."""
     t = ClassTable(a2(), GroundField(2), (1, 1))
     with pytest.raises(ValueError, match="outside table bound"):
-        t.classify(Rep.zero(a2(), 2, (2, 0)))
+        t.classify(zero_rep(a2(), 2, (2, 0)))
     assert (2, 0) not in t._mu
 
 
@@ -173,3 +173,22 @@ def test_truncation_is_a_resource_limit_naming_the_bound(monkeypatch, tmp_path, 
     cfg.write_text(A2_BOUND_11)
     assert cli.main(["verify", "--config", str(cfg)]) == 3
     assert "[limits] bound" in capsys.readouterr().out
+
+
+def test_a_bound_with_more_degrees_than_max_classes_is_refused_first(tmp_path, capsys):
+    # Each of the 4 dimension vectors within (1, 1) holds a class, so
+    # max_classes = 3 can never list them; none is enumerated first.
+    text = A2_BOUND_11 + "max_classes = 3\n"
+    t = cli.parse_config(text).table()
+    with pytest.raises(LimitExceeded, match=r"\[limits\] bound"):
+        t.degrees()
+    assert not t._mu
+    cfg = tmp_path / "a2.cfg"
+    cfg.write_text(text)
+    assert cli.main(["classify", "--config", str(cfg)]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("resource limit: ")
+    assert "[limits] bound" in out and "[limits] max_classes" in out
+    # cartan and roots never list the degrees.
+    for command in ("cartan", "roots"):
+        assert cli.main([command, "--config", str(cfg)]) == 0

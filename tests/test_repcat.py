@@ -23,7 +23,7 @@ from hallalg import repcat
 from hallalg.repcat import _KeyCodec, aut_count, is_indecomposable
 from hallalg.modlin import gl_order
 
-from conftest import a2, jordan, kronecker
+from conftest import a2, jordan, kronecker, zero_rep
 
 
 # ----- independent brute-force machinery (no package linear algebra) -------
@@ -298,7 +298,7 @@ def test_quiver_without_arrows_has_one_class_per_degree():
         (c,) = t.classes(mu)
         assert c.aut == gl_order(mu[0], 2) * gl_order(mu[1], 2)
         assert c.indecomposable == (sum(mu) == 1)
-        assert t.classify(Rep.zero(t.quiver, 2, mu)) == c.cid
+        assert t.classify(zero_rep(t.quiver, 2, mu)) == c.cid
 
 
 def test_orbit_stabilizer_grid():
@@ -601,25 +601,72 @@ def test_void_keys_give_the_same_table(monkeypatch, quiver, q, bound):
     ],
 )
 def test_extension_blocks_may_split_anywhere(monkeypatch, quiver, q, bound):
-    # With blocks of four states, one pair's extensions span several blocks
-    # and every pair starts a new one.  Orbit seeds and Hall numbers come from
-    # the same blocks; neither the table nor any distribution may change.
+    # With blocks of a few states, one pair's extensions span several blocks
+    # and one block spans several pairs; with 3 a boundary also falls inside
+    # a pair off the multiples of q^free.  Orbit seeds and Hall numbers come
+    # from the same blocks; neither the table nor any distribution may change.
     default = ClassTable(quiver, GroundField(q), bound)
-    with monkeypatch.context() as m:
-        m.setattr(repcat, "_CHUNK", 4)
-        small = ClassTable(quiver, GroundField(q), bound)
-        dists = {
-            (g.cid, sub): small.hall_distribution(g.cid, sub)
-            for mu in small.degrees()
-            for g in small.classes(mu)
-            for sub in small.degrees()
-        }
-    for mu in default.degrees():
-        assert _class_rows(default, mu) == _class_rows(small, mu)
-        a, b = default._mu[mu], small._mu[mu]
-        assert a.keys.tobytes() == b.keys.tobytes() and a.labels.tobytes() == b.labels.tobytes()
-    for (cid, sub), dist in dists.items():
-        assert default.hall_distribution(cid, sub) == dist
+    for chunk in (4, 3):
+        with monkeypatch.context() as m:
+            m.setattr(repcat, "_CHUNK", chunk)
+            small = ClassTable(quiver, GroundField(q), bound)
+            dists = {
+                (g.cid, sub): small.hall_distribution(g.cid, sub)
+                for mu in small.degrees()
+                for g in small.classes(mu)
+                for sub in small.degrees()
+            }
+        for mu in default.degrees():
+            assert _class_rows(default, mu) == _class_rows(small, mu)
+            a, b = default._mu[mu], small._mu[mu]
+            assert a.keys.tobytes() == b.keys.tobytes() and a.labels.tobytes() == b.labels.tobytes()
+        for (cid, sub), dist in dists.items():
+            assert default.hall_distribution(cid, sub) == dist
+
+
+@pytest.mark.parametrize(
+    "quiver,q,bound",
+    [
+        pytest.param(kronecker(), 3, (2, 2), id="kronecker-3"),
+        pytest.param(Quiver(1, [(0, 0), (0, 0)]), 2, (3,), id="two-loops-2"),
+    ],
+)
+def test_direct_sums_pair_every_column_b_after_b(quiver, q, bound):
+    # Column j of the block is rep(a, j % len(A)) + rep(b, j // len(A)),
+    # block-diagonal on every arrow, flattened arrow after arrow; the free
+    # rows are the top-right blocks.  Each extension state k is column
+    # k // q^free with the free rows in itertools.product order.
+    t = ClassTable(quiver, GroundField(q), bound)
+    for a in t.degrees():
+        for b in t.degrees():
+            mu = repcat.dim_add(a, b)
+            if not repcat.dim_leq(mu, bound):
+                continue
+            left, right = t._digit_columns(a), t._digit_columns(b)
+            sums, free = t._direct_sums(a, b, left, right)
+            pairs = [(y, x) for y in t.classes(b) for x in t.classes(a)]
+            assert sums.shape == (sum(mu[s] * mu[r] for s, r in quiver.arrows), len(pairs))
+            for j, (y, x) in enumerate(pairs):
+                ma, mb = t.rep(x.cid).mats, t.rep(y.cid).mats
+                flat = []
+                for (s, r), u, v in zip(quiver.arrows, ma, mb):
+                    m = np.zeros((mu[r], mu[s]), dtype=np.int64)
+                    m[: a[r], : a[s]] = u
+                    m[a[r] :, a[s] :] = v
+                    flat += m.ravel().tolist()
+                assert sums[:, j].tolist() == flat
+            corner = []
+            for s, r in quiver.arrows:
+                m = np.zeros((mu[r], mu[s]), dtype=bool)
+                m[: a[r], a[s] :] = True
+                corner += m.ravel().tolist()
+            assert free == np.flatnonzero(corner).tolist()
+            index, digits = (np.concatenate(x, axis=-1) for x in zip(*t._extensions(a, b, left, right)))
+            xs = list(itertools.product(range(q), repeat=len(free)))
+            assert index.tolist() == [j for j in range(len(pairs)) for _ in xs]
+            expect = np.repeat(sums, len(xs), axis=1)
+            expect[free] = np.tile(np.array(xs, dtype=np.uint8).reshape(len(xs), -1).T, len(pairs))
+            assert np.array_equal(digits, expect)
 
 
 def test_stored_states_cost_at_most_3_bytes_each():
@@ -744,15 +791,15 @@ def test_ext_examples():
     t = ClassTable(jq, GroundField(2), (1,))
     s = t.rep(t.classes((1,))[0].cid)
     assert ext_dim(s, s) == 1
-    zero = Rep.zero(jq, 2, (0,))
+    zero = zero_rep(jq, 2, (0,))
     assert ext_dim(s, zero) == 0
 
 
 def test_end_basis_of_zero_and_of_an_empty_hom_system():
-    assert repcat.end_basis(Rep.zero(kronecker(), 2, (0, 0))) == []
+    assert repcat.end_basis(zero_rep(kronecker(), 2, (0, 0))) == []
     # Both arrows of the simple at the source have a zero-sized matrix, so
     # the Hom system has no equations and End is the one scalar at vertex 1.
-    ((e1, e2),) = repcat.end_basis(Rep.simple(kronecker(), 2, 0))
+    ((e1, e2),) = repcat.end_basis(zero_rep(kronecker(), 2, (1, 0)))
     assert np.array_equal(e1, np.eye(1, dtype=np.int64)) and e2.shape == (0, 0)
 
 
