@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -267,6 +268,13 @@ def _cartan_text(data: dict):
 
 
 def _roots(table: ClassTable, config: Config, **_) -> dict:
+    n, h = table.quiver.vertices, config.height
+    count = math.comb(n + h, n) - 1  # nonzero vectors of height <= h, each scanned
+    if count > table.max_classes:
+        raise LimitExceeded(
+            f"height {h} has {count} vectors to scan, above max_classes={table.max_classes}; "
+            "lower [limits] height or raise [limits] max_classes"
+        )
     datum = gkm.datum_from_table(table)
     cartan = gkm.cartan_from_datum(datum)
     roots = gkm.positive_roots(cartan, config.height)

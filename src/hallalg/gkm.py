@@ -142,24 +142,25 @@ def _vectors_of_height(n: int, h: int):
             yield (first,) + rest
 
 
-def fundamental_region(c: CartanMatrix, height: int) -> set[Vec]:
-    """Nonzero vectors with connected support pairing nonpositively against
-    every real index, minus the multiples s*e_i (s >= 2) of imaginary ones."""
+def _in_fundamental_set(c: CartanMatrix, mu: Vec) -> bool:
+    """Kac's fundamental set: connected support and a nonpositive pairing
+    with every real index.  It holds the multiples s*e_i of imaginary ones."""
     d = c.datum
-    n = d.size
-    real = c.real_indices()
+    return _support_connected(d, mu) and all(
+        sum(m * d.gram[k][i] for k, m in enumerate(mu)) <= 0 for i in c.real_indices()
+    )
+
+
+def fundamental_region(c: CartanMatrix, height: int) -> set[Vec]:
+    """The fundamental set up to the height, minus the multiples s*e_i
+    (s >= 2) of imaginary indices."""
     imag = set(c.imaginary_indices())
     out: set[Vec] = set()
     for h in range(1, height + 1):
-        for mu in _vectors_of_height(n, h):
-            if not _support_connected(d, mu):
-                continue
-            unit = [i for i, m in enumerate(mu) if m]
-            if len(unit) == 1 and mu[unit[0]] >= 2 and unit[0] in imag:
-                continue
-            if all(
-                sum(m * d.gram[k][i] for k, m in enumerate(mu)) <= 0 for i in real
-            ):
+        for mu in _vectors_of_height(c.size, h):
+            if h >= 2 and h in mu and mu.index(h) in imag:
+                continue  # mu = h*e_i for an imaginary i
+            if _in_fundamental_set(c, mu):
                 out.add(mu)
     return out
 

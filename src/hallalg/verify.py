@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import gkm, primitives
 from .hallhopf import AlgElt, BasisSym, DoubleHall, TensorElt, _extend
-from .repcat import ClassTable, cid_str, dim_add, dim_leq, dims_below
+from .repcat import ClassTable, cid_str, dim_add, dim_leq
 from .scalars import is_positive
 
 __all__ = ["CheckResult", "CheckReport", "SUITES", "run_suite"]
@@ -390,8 +390,6 @@ def suite_sv(table: ClassTable) -> CheckReport:
                     f"2(i,j)'/(i,i)' not integral: {2 * g[i][j]}/{g[i][i]}",
                 )
     base_cartan = gkm.cartan_from_datum(ext.base)
-    freg = gkm.fundamental_region(base_cartan, sum(table.bound))
-    imag_degrees = [degrees[i] for i in base_cartan.imaginary_indices()]
     for theta, nclasses, xi_dim, lsp in ext.records:
         rep.check(
             f"rank-nullity[{theta}]",
@@ -405,15 +403,9 @@ def suite_sv(table: ClassTable) -> CheckReport:
                 f"comultiplication of generator {p} in degree {theta} is not primitive",
             )
         if lsp.dim:
-            in_freg = theta in freg
-            in_multiples = any(
-                theta == tuple(k * u for u in d)
-                for d in imag_degrees
-                for k in range(2, sum(theta) + 1)
-            )
             rep.expect(
                 f"degree-located[{theta}]",
-                in_freg or in_multiples,
+                gkm._in_fundamental_set(base_cartan, theta),
                 f"{theta} lies outside the fundamental region and the "
                 f"imaginary-simple multiples",
             )
@@ -475,24 +467,24 @@ def suite_kac(table: ClassTable, height: int) -> CheckReport:
     """Dimension vectors of indecomposables against the root side, and
     uniqueness of the indecomposable over each real root."""
     rep = CheckReport("kac")
-    n = table.quiver.vertices
-    up_to_height = [mu for mu in dims_below((height,) * n) if 0 < sum(mu) <= height]
-    for mu in up_to_height:
-        if not dim_leq(mu, table.bound):
-            rep.expect(
-                "table-covers-height",
-                False,
-                f"dimension {mu} of height <= {height} is outside bound {table.bound}",
-            )
-            return rep
-    datum = gkm.datum_from_table(table)
-    cartan = gkm.cartan_from_datum(datum)
+    bound = table.bound
+    low = min(bound)
+    if height > low:
+        # Every vector of height <= min(bound) lies inside the bound; the
+        # first one outside it in (height, lex) order is (low+1)*e_k for the
+        # last k with bound[k] = low.
+        k = max(i for i, b in enumerate(bound) if b == low)
+        mu = tuple(low + 1 if i == k else 0 for i in range(len(bound)))
+        rep.expect(
+            "table-covers-height",
+            False,
+            f"dimension {mu} of height <= {height} is outside bound {bound}",
+        )
+        return rep
+    up_to_height = [mu for mu in table.degrees() if 0 < sum(mu) <= height]
+    cartan = gkm.cartan_from_datum(gkm.datum_from_table(table))
     roots = gkm.positive_roots(cartan, height)
-    seeds = [
-        tuple(s if k == i else 0 for k in range(cartan.size))
-        for i in cartan.imaginary_indices()
-        for s in range(2, height + 1)
-    ]
+    seeds = [mu for mu in up_to_height if gkm._in_fundamental_set(cartan, mu)]
     orbit = gkm.weyl_orbit(cartan, seeds, height)
     root_side = {r.vector for r in roots} | orbit
     indec_side = {mu for mu in up_to_height if table.indec_count(mu) > 0}

@@ -158,6 +158,28 @@ def test_roots_height_option_enters_the_config(tmp_path, capsys):
     assert data["config_digest"] == config_digest(ran)
 
 
+def test_roots_height_beyond_max_classes_is_a_resource_limit(tmp_path, capsys):
+    # A2 has C(52, 2) - 1 = 1325 vectors of height 1..50 to scan.
+    cfg = tmp_path / "a2.cfg"
+    cfg.write_text(A2_TEXT.replace("height = 2\n", "height = 2\nmax_classes = 100\n"))
+    assert main(["roots", "--config", str(cfg), "--height", "50"]) == 3
+    out = capsys.readouterr().out
+    assert "resource limit" in out and "[limits] height" in out
+
+
+def test_kac_height_beyond_max_classes_is_a_resource_limit(tmp_path, capsys):
+    # The default height is min(bound) = 2000; kac lists the table's 2001
+    # dimension vectors, more than max_classes, before it builds a class.
+    cfg = tmp_path / "jordan.cfg"
+    cfg.write_text(
+        "[quiver]\nvertices = 1\narrows = [[1, 1]]\n[field]\nq = 2\n"
+        "[limits]\nbound = [2000]\nmax_classes = 1000\nmax_states = 100\n"
+    )
+    assert main(["verify", "--config", str(cfg), "--suite", "kac"]) == 3
+    out = capsys.readouterr().out
+    assert "resource limit" in out and "[limits] bound" in out
+
+
 def test_cartan_command():
     config = parse_config(KRONECKER_TEXT)
     code, out = run_command("cartan", config)

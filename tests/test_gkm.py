@@ -2,9 +2,12 @@ import random
 
 import pytest
 
-from hallalg import ClassTable, GroundField
+from hallalg import ClassTable, GroundField, Quiver
+from hallalg.cli import parse_config
+from hallalg.repcat import dims_below
 from hallalg.gkm import (
     BorcherdsDatum,
+    _in_fundamental_set,
     Root,
     cartan_from_datum,
     datum_from_table,
@@ -14,7 +17,7 @@ from hallalg.gkm import (
     weyl_orbit,
 )
 
-from conftest import a2, jordan, kronecker
+from conftest import CONFIGS, a2, jordan, kronecker
 
 
 def _cartan(quiver):
@@ -80,6 +83,47 @@ def test_fundamental_region_examples():
     assert fundamental_region(_cartan(a2()), 4) == set()
     assert fundamental_region(_cartan(jordan()), 3) == {(1,)}
     assert fundamental_region(_cartan(kronecker()), 4) == {(1, 1), (2, 2)}
+
+
+def _fundamental_oracle(c, mu):
+    """Kac's fundamental set, restated apart from gkm: a nonzero vector
+    whose support is connected in the Gram graph and whose pairing with
+    every real index is nonpositive."""
+    g = c.datum.gram
+    supp = {i for i, m in enumerate(mu) if m}
+    if not supp:
+        return False
+    reached = {min(supp)}
+    while True:
+        grown = reached | {j for j in supp for i in reached if g[i][j]}
+        if grown == reached:
+            break
+        reached = grown
+    pairings = [sum(m * g[k][i] for k, m in enumerate(mu)) for i in c.real_indices()]
+    return reached == supp and all(p <= 0 for p in pairings)
+
+
+def test_fundamental_set_predicate():
+    configs = [parse_config(p.read_text()) for p in sorted(CONFIGS.glob("*.cfg"))]
+    quivers = [Quiver(c.vertices, list(c.arrows)) for c in configs]
+    quivers += [jordan(), Quiver(1, [(0, 0), (0, 0)]), Quiver(3, [(0, 1), (1, 2)])]
+    # Two loops at unlinked vertices: no index is real, so only the support
+    # rules out (a, b) with a, b > 0.
+    quivers.append(Quiver(2, [(0, 0), (1, 1)]))
+    for quiver in quivers:
+        c = _cartan(quiver)
+        region = fundamental_region(c, 6)
+        multiples = {
+            tuple(s if k == i else 0 for k in range(c.size))
+            for i in c.imaginary_indices()
+            for s in range(2, 7)
+        }
+        up_to_6 = [mu for mu in dims_below((6,) * c.size) if sum(mu) <= 6]
+        for mu in up_to_6:
+            expected = _fundamental_oracle(c, mu)
+            assert _in_fundamental_set(c, mu) == expected
+            assert (mu in region or mu in multiples) == expected
+            assert not (mu in region and mu in multiples)
 
 
 def test_positive_roots_a2():

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from hallalg import ClassTable, GroundField
+from hallalg import ClassTable, GroundField, Quiver
 from hallalg.cli import parse_config
+from hallalg.repcat import dim_leq, dims_below
 from hallalg.verify import (
     CheckReport,
     run_suite,
@@ -123,6 +124,36 @@ def test_kac_suite(a2_q2):
 def test_kac_detects_missing_coverage(a2_q2):
     rep = suite_kac(a2_q2, 5)
     assert rep.overall == "fail"
+
+
+@pytest.mark.parametrize(
+    "quiver,bound",
+    [
+        (a2(), (2, 2)),
+        (a2(), (3, 1)),
+        (a2(), (1, 3)),
+        (Quiver(3, [(0, 1), (1, 2)]), (2, 1, 2)),
+        (Quiver(3, [(0, 1), (1, 2)]), (1, 2, 1)),
+        (jordan(), (3,)),
+    ],
+)
+def test_kac_cover_check_names_the_first_vector_outside_the_bound(quiver, bound):
+    table = ClassTable(quiver, GroundField(2), bound)
+    for height in range(6):
+        # Oracle: list every vector up to the height in (height, lex) order
+        # and take the first one outside the bound.
+        listed = [mu for mu in dims_below((height,) * len(bound)) if 0 < sum(mu) <= height]
+        outside = [mu for mu in listed if not dim_leq(mu, bound)]
+        rep = suite_kac(table, height)
+        if outside:
+            assert [c.name for c in rep.checks] == ["table-covers-height"]
+            assert rep.checks[0].status == "fail"
+            assert rep.checks[0].witness == (
+                f"dimension {outside[0]} of height <= {height} is outside bound {bound}"
+            )
+        else:
+            assert "table-covers-height" not in [c.name for c in rep.checks]
+            _assert_pass(rep, allow_skips=False)
 
 
 def test_character_suite(a2_q2, jordan_q2, kronecker_q2):
