@@ -268,7 +268,7 @@ def _cartan_text(data: dict):
 
 
 def _roots(table: ClassTable, config: Config, **_) -> dict:
-    n, h = table.quiver.vertices, config.height
+    n, h = config.vertices, config.height
     count = math.comb(n + h, n) - 1  # nonzero vectors of height <= h, each scanned
     if count > table.max_classes:
         raise LimitExceeded(

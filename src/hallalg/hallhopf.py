@@ -136,7 +136,7 @@ class DoubleHall:
         self.table = table
         self.field = table.field
         self.zero_cid = table.zero_id()
-        self.zero_dim = table.quiver.zero_dim()
+        self.zero_dim = self.zero_cid[0]
         self._u_prod: dict = {}
         self._comult_consts: dict = {}
         self._anti_coeff: dict = {}
@@ -263,7 +263,7 @@ class DoubleHall:
                     if inner:
                         w = Fraction(n * t.aut(top) * t.aut(sub), t.aut(g))
                         if plus:
-                            w *= Fraction(t.q) ** t.euler(top[0], nu)
+                            w *= Fraction(self.field.q) ** t.euler(top[0], nu)
                         out -= w * inner
             self._anti_coeff[key] = out
         return out

@@ -458,6 +458,14 @@ class ClassTable:
     with the class label of every state of the variety, so classifying a
     block of representations inside the bound is one batch lookup.  Identical
     inputs give identical class ids and orderings.
+
+    Table protocol: `DoubleHall`, `verify`, `primitives` and `gkm` read a table only
+    through `field` (`field.q` is the one field size), `bound` (the grading rank is
+    `len(bound)`), `degrees()` ((total, lex) order, zero first), `classes(mu)` (objects
+    with `cid`, `dim` and `aut`), `cls(cid)` (a label is a position in `classes(mu)`;
+    an id naming no class raises `ValueError`), `aut`, `class_count`, `indec_count`,
+    `euler`, `sym`, `zero_id()`, `simple_ids()`, `hall` and `hall_distribution`, which
+    maps (gamma, nu) to `{(quot_cid, sub_cid): count}`, `{}` unless nu <= dim gamma.
     """
 
     def __init__(
@@ -715,7 +723,8 @@ class ClassTable:
                 new = _unique(keys.compress(fresh))
             if count + new.size > self.max_states:
                 raise LimitExceeded(
-                    f"orbit states at dimension {mu} exceed max_states={self.max_states}"
+                    f"orbit states at dimension {mu} exceed max_states={self.max_states}; "
+                    "raise [limits] max_states"
                 )
             count = _append(states, count, new)
             if bitmap is None:
@@ -828,7 +837,8 @@ class ClassTable:
         self._nclasses += len(sizes)
         if self._nclasses > self.max_classes:
             raise LimitExceeded(
-                f"class count exceeds max_classes={self.max_classes} at dimension {mu}"
+                f"class count exceeds max_classes={self.max_classes} at dimension {mu}; "
+                "lower [limits] bound or raise [limits] max_classes"
             )
         data = _MuData((), codec, keys, labels, mins)
         # Krull-Schmidt: a class is decomposable exactly when it has an

@@ -72,10 +72,10 @@ class CheckReport:
 
 
 def _torus_samples(table: ClassTable):
-    quiver = table.quiver
-    out = [quiver.zero_dim()]
-    for i in range(quiver.vertices):
-        unit = quiver.unit_dim(i)
+    zero = table.zero_id()[0]
+    out = [zero]
+    for i in range(len(zero)):
+        unit = tuple(int(k == i) for k in range(len(zero)))
         out += [unit, tuple(-u for u in unit)]
     return out
 
@@ -275,7 +275,7 @@ def suite_composition(table: ClassTable) -> CheckReport:
     n = len(degrees)
     samples = _torus_samples(table)
 
-    rep.check("K0=1", H.torus(table.quiver.zero_dim()), H.one())
+    rep.check("K0=1", H.torus(H.zero_dim), H.one())
     for mu in samples:
         for nu in samples:
             rep.check(

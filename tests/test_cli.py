@@ -246,7 +246,20 @@ def test_resource_limit_exit_code():
     config = dataclasses.replace(parse_config(KRONECKER_TEXT), max_states=3)
     code, out = run_command("classify", config)
     assert code == 3
-    assert "resource limit" in out
+    assert "resource limit" in out and "[limits] max_states" in out
+
+
+def test_class_count_limit_names_its_key(tmp_path, capsys):
+    # Jordan (3) has 4 dimension vectors, within max_classes, but 1 + 1 + 2 + 3
+    # = 7 classes, so the limit is hit while the classes are built.
+    cfg = tmp_path / "jordan.cfg"
+    cfg.write_text(
+        "[quiver]\nvertices = 1\narrows = [[1, 1]]\n[field]\nq = 2\n"
+        "[limits]\nbound = [3]\nmax_classes = 5\n"
+    )
+    assert main(["classify", "--config", str(cfg)]) == 3
+    out = capsys.readouterr().out
+    assert "resource limit" in out and "[limits] max_classes" in out
 
 
 def test_main_entry(tmp_path, capsys):

@@ -376,9 +376,10 @@ def test_canonical_rep_is_lex_min_in_orbit():
 def test_limits():
     with pytest.raises(LimitExceeded) as exc:
         ClassTable(jordan(), GroundField(2), (3,), max_states=5).classes((3,))
-    assert "(3,)" in str(exc.value)
-    with pytest.raises(LimitExceeded):
+    assert "(3,)" in str(exc.value) and "[limits] max_states" in str(exc.value)
+    with pytest.raises(LimitExceeded) as exc:
         ClassTable(jordan(), GroundField(2), (3,), max_classes=2).classes((3,))
+    assert "[limits] max_classes" in str(exc.value)
 
 
 @pytest.mark.parametrize("native_bits", [64, 0], ids=["native", "void"])

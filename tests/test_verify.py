@@ -1,4 +1,5 @@
 import json
+from typing import NamedTuple
 
 import pytest
 
@@ -6,6 +7,7 @@ from hallalg import ClassTable, GroundField, Quiver
 from hallalg.cli import parse_config
 from hallalg.repcat import dim_leq, dims_below
 from hallalg.verify import (
+    SUITES,
     CheckReport,
     run_suite,
     suite_character,
@@ -179,3 +181,97 @@ def test_reports_deterministic(a2_q2):
     r1 = suite_composition(a2_q2)
     r2 = suite_composition(ClassTable(a2(), GroundField(2), (2, 2)))
     assert r1.to_dict() == r2.to_dict()
+
+
+class _LiteralClass(NamedTuple):
+    cid: tuple
+    dim: tuple
+    aut: int
+
+
+class JordanF2:
+    """The Jordan quiver over F_2 up to degree 2, written out as literal data.
+
+    It has the members of the table protocol in `ClassTable`'s docstring and
+    nothing else: no quiver, no `q`, no `max_classes`.  Label 0 of degree 2 is
+    the semisimple S + S, label 1 the Jordan block J_2.
+    """
+
+    field = GroundField(2)
+    bound = (2,)
+
+    def __init__(self, lines_in_semisimple=3):
+        self._classes = {
+            (0,): (_LiteralClass(((0,), 0), (0,), 1),),
+            (1,): (_LiteralClass(((1,), 0), (1,), 1),),
+            (2,): (_LiteralClass(((2,), 0), (2,), 6), _LiteralClass(((2,), 1), (2,), 2)),
+        }
+        self._indec = {(0,): 0, (1,): 1, (2,): 1}
+        s = ((1,), 0)
+        # Subobjects of dimension 1: every line of S + S, the socle of J_2.
+        self._hall = {
+            (((2,), 0), (1,)): {(s, s): lines_in_semisimple},
+            (((2,), 1), (1,)): {(s, s): 1},
+        }
+
+    def degrees(self):
+        return list(self._classes)
+
+    def classes(self, mu):
+        if tuple(mu) not in self._classes:
+            raise ValueError(f"dimension {mu} outside the bound")
+        return self._classes[tuple(mu)]
+
+    def cls(self, cid):
+        classes = self.classes(cid[0])
+        if not 0 <= cid[1] < len(classes):
+            raise ValueError(f"no class {cid}")
+        return classes[cid[1]]
+
+    def aut(self, cid):
+        return self.cls(cid).aut
+
+    def class_count(self, mu):
+        return len(self.classes(mu))
+
+    def indec_count(self, mu):
+        return self._indec[tuple(mu)]
+
+    def euler(self, a, b):
+        return 0
+
+    def sym(self, a, b):
+        return 0
+
+    def zero_id(self):
+        return ((0,), 0)
+
+    def simple_ids(self):
+        return [((1,), 0)]
+
+    def hall_distribution(self, gamma, nu):
+        mu, nu = self.cls(gamma).dim, tuple(nu)
+        if nu == (0,):
+            return {(gamma, self.zero_id()): 1}
+        if nu == mu:
+            return {(self.zero_id(), gamma): 1}
+        return self._hall.get((gamma, nu), {})
+
+    def hall(self, quot, sub, gamma):
+        for cid in (quot, sub, gamma):
+            self.cls(cid)
+        return self.hall_distribution(gamma, sub[0]).get((quot, sub), 0)
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_suites_read_only_the_table_protocol(suite):
+    report = run_suite(suite, JordanF2())
+    _assert_pass(report)
+    oracle = run_suite(suite, ClassTable(Quiver(1, [(0, 0)]), GroundField(2), (2,)))
+    assert report.to_dict() == oracle.to_dict()
+
+
+def test_literal_table_with_a_wrong_hall_number_fails():
+    table = JordanF2(lines_in_semisimple=4)
+    for suite in ("hopf", "pairing"):
+        assert run_suite(suite, table).overall == "fail"
